@@ -409,13 +409,13 @@ def cmd_verify(args) -> int:
         )
     grid = TimeGrid(schedule.T, args.steps)
 
-    probes = [
+    probes = np.stack([
         basis_state(1),
         basis_state(4),
         left_qubit_state(0.25 * math.pi, 0.0),
         left_qubit_state(0.25 * math.pi, 0.5 * math.pi),
-    ]
-    max_error = max(compare_analytic(schedule, psi0, grid) for psi0 in probes)
+    ])
+    max_error = compare_analytic(schedule, probes, grid)
 
     gammas, _ = angles.gamma(grid.times)
     u = propagator_matrix(gammas, angles.theta, schedule.params.delta, grid.times)

@@ -297,6 +297,19 @@ def test_simulate_malformed_schedule_exits_2(tmp_path):
     assert main(["simulate", "--schedule", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_nan_tau_cell_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["prepare", "--plan", prep_plan(tmp_path, out)])
+    lines = (out / "stage01_prepare.csv").read_text().splitlines()
+    first_row = next(i for i, line in enumerate(lines) if not line.startswith(("#", "t,")))
+    cells = lines[first_row + 10].split(",")
+    cells[1] = "nan"
+    lines[first_row + 10] = ",".join(cells)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--schedule", str(bad), "--out", str(tmp_path / "sim")]) == 4
+
+
 def test_verify_pass_and_corruption(tmp_path, capsys):
     out = tmp_path / "out"
     main(["prepare", "--plan", prep_plan(tmp_path, out)])

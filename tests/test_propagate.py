@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pulseforge import (
+    AnsatzSpec,
     ControlSchedule,
     IntegrationError,
+    PrepareSpec,
     ScheduleMeta,
     SystemParams,
     TimeGrid,
@@ -14,9 +16,45 @@ from pulseforge import (
     compare_analytic,
     fidelity_trace,
     integrate,
+    left_qubit_state,
     schedule_from_angles,
+    synthesize_preparation,
 )
+from pulseforge.propagate import DEFAULT_N_STEPS, _hamiltonian_stack
 from conftest import random_unit_state
+
+
+def verify_probes():
+    """The four probe states ``pulseforge verify`` checks, stacked."""
+    return np.stack([
+        basis_state(1),
+        basis_state(4),
+        left_qubit_state(0.25 * math.pi, 0.0),
+        left_qubit_state(0.25 * math.pi, 0.5 * math.pi),
+    ])
+
+
+def loop_rk4(schedule, psi0, grid):
+    """Reference: classical RK4 stepped on the state vector, one step at a time."""
+    tau, alpha = schedule.controls_at(grid.half_times)
+    a_stack = _hamiltonian_stack(np.asarray(tau, dtype=float), np.asarray(alpha, dtype=complex), schedule.params.delta)
+    n = grid.n_steps
+    h = grid.t_end / n
+    h6 = h / 6.0
+    psi = np.asarray(psi0, dtype=complex)
+    states = np.empty((n + 1, 4), dtype=complex)
+    states[0] = psi
+    for i in range(n):
+        a1 = a_stack[2 * i]
+        a2 = a_stack[2 * i + 1]
+        a3 = a_stack[2 * i + 2]
+        k1 = a1 @ psi
+        k2 = a2 @ (psi + (0.5 * h) * k1)
+        k3 = a2 @ (psi + (0.5 * h) * k2)
+        k4 = a3 @ (psi + h * k3)
+        psi = psi + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        states[i + 1] = psi
+    return states
 
 
 def test_time_grid_validation():
@@ -134,6 +172,26 @@ def test_corrupted_tunneling_is_detected(ref_prep_schedule, ref_params):
     assert err > 1e-3
 
 
+def test_corrupted_tunneling_is_detected_with_stacked_probes(ref_prep_schedule, ref_params):
+    corrupted = ControlSchedule(
+        params=ref_params,
+        times=ref_prep_schedule.times,
+        tau=ref_prep_schedule.tau * 1.01,
+        alpha=ref_prep_schedule.alpha,
+        meta=ref_prep_schedule.meta,
+    )
+    err = compare_analytic(corrupted, verify_probes())
+    assert err > 1e-3
+
+
+def test_stacked_probes_match_per_probe_calls(ref_prep_schedule, rng):
+    probes = np.concatenate([verify_probes(), [random_unit_state(rng)]])
+    grid = TimeGrid(ref_prep_schedule.T, 1000)
+    stacked = compare_analytic(ref_prep_schedule, probes, grid)
+    per_probe = max(compare_analytic(ref_prep_schedule, p, grid) for p in probes)
+    assert abs(stacked - per_probe) <= 1e-13
+
+
 def test_compare_requires_angle_metadata(ref_prep_schedule, ref_params):
     stripped = ControlSchedule(
         params=ref_params,
@@ -161,6 +219,53 @@ def test_norm_drift_raises():
     wild = schedule_from_angles(0.3, 200 * math.pi, 1.0, SystemParams(delta=1.0), n_samples=64)
     with pytest.raises(IntegrationError):
         integrate(wild, basis_state(1), TimeGrid(1.0, 8))
+
+
+def test_non_finite_control_raises(ref_prep_schedule, ref_params):
+    # a NaN sample turns every later state into NaN; the drift check must
+    # reject that rather than pass it as "no measurable drift"
+    tau = ref_prep_schedule.tau.copy()
+    tau[tau.size // 2] = np.nan
+    poisoned = ControlSchedule(
+        params=ref_params,
+        times=ref_prep_schedule.times,
+        tau=tau,
+        alpha=ref_prep_schedule.alpha,
+        meta=ref_prep_schedule.meta,
+    )
+    with pytest.raises(IntegrationError):
+        integrate(poisoned, basis_state(1))
+
+
+def _sampled_prep_schedule(params):
+    s_ax = np.linspace(0.0, 1.0, 80)
+    g_ax = 0.25 * math.pi * (1 - np.cos(math.pi * s_ax))
+    ansatz = AnsatzSpec(family="sampled", profile=(s_ax, g_ax))
+    return synthesize_preparation(PrepareSpec(b2=0.5, b3=0.5j * math.sqrt(3.0)), params, ansatz)
+
+
+@pytest.mark.parametrize("n_steps", [2, 511, 512, 513, 4000])
+@pytest.mark.parametrize("family", ["cosine", "sampled", "interpolated"])
+def test_transfer_matrices_match_vector_loop(family, n_steps, ref_prep_schedule, ref_params, rng):
+    # the step matrices reorder the rounding of the loop's arithmetic, and
+    # n_steps straddles the edges of the matrix blocks
+    if family == "cosine":
+        sched = ref_prep_schedule
+    elif family == "sampled":
+        sched = _sampled_prep_schedule(ref_params)
+    else:
+        sched = ControlSchedule(
+            params=ref_params,
+            times=ref_prep_schedule.times,
+            tau=ref_prep_schedule.tau,
+            alpha=ref_prep_schedule.alpha,
+            meta=ScheduleMeta(gate="raw"),
+        )
+    # the default step size, so short grids stay accurate
+    grid = TimeGrid(sched.T * n_steps / DEFAULT_N_STEPS, n_steps)
+    psi0 = random_unit_state(rng)
+    states = integrate(sched, psi0, grid).states
+    assert np.max(np.abs(states - loop_rk4(sched, psi0, grid))) <= 1e-12
 
 
 def test_third_route_agreement_with_adaptive_integrator(ref_prep_schedule):
