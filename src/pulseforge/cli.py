@@ -13,8 +13,7 @@ target, 4 verification or integration failure.
 
 Bloch convention: each stage's qubit basis is ordered (spin-down, spin-up),
 i.e. (|1>, |4>) on the left dot and (|2>, |3>) on the right dot, with
-z = +1 for spin-down.  The environment variable PULSEFORGE_SEED_DOCS is
-reserved and has no effect on computation; no core path uses randomness.
+z = +1 for spin-down.  No core path uses randomness.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqd import (
+    analytic_propagator,
     basis_state,
     check_normalized,
     left_qubit_state,
@@ -261,10 +261,7 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = 4000) -
         except (_INFEASIBLE_ERRORS + _VERIFY_ERRORS + (InvalidAnsatzError,)) as exc:
             raise _stage_error(exc, index, stage.gate) from exc
 
-        angles = schedule.angles()
-        gamma_t, _ = angles.gamma(schedule.T)
-        u = propagator_matrix(gamma_t, angles.theta, params.delta, schedule.T)
-        psi_analytic = u @ psi_analytic
+        psi_analytic = analytic_propagator(schedule.angles(), schedule.T, params) @ psi_analytic
         grid = TimeGrid(schedule.T, n_steps)
         try:
             psi_ode = integrate(schedule, psi_ode, grid).final_state
@@ -339,9 +336,7 @@ def _run_single_stage(args, want_prepare: bool) -> int:
     filename = _schedule_filename(args.stage + 1, stage.gate)
     write_schedule(out_dir / filename, schedule)
 
-    angles = schedule.angles()
-    gamma_t, _ = angles.gamma(schedule.T)
-    predicted = propagator_matrix(gamma_t, angles.theta, plan.system.delta, schedule.T) @ initial_state(spec)
+    predicted = analytic_propagator(schedule.angles(), schedule.T, plan.system) @ initial_state(spec)
 
     print(f"stage {args.stage + 1}: gate={stage.gate}")
     print(f"theta = {schedule.meta.theta!r} rad (branch {schedule.meta.branch})")

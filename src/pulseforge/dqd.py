@@ -12,13 +12,17 @@ real spin-conserving tunneling tau(t), 1-3 and 2-4 the complex spin-flip
 (Rashba) coupling alpha(t); there is no 1-4 or 2-3 link, which forbids
 direct |1> -> |4> transfer.
 
-Control relations in the diamond gauge, with gamma(t) the drive angle and
-theta the constant coupling mixing angle:
+The model has one Hamiltonian builder, :func:`hamiltonian`, which is the
+only place the diamond entries are written, and one control relation,
+:func:`drive_controls`.  In the diamond gauge, with gamma(t) the drive angle
+and theta the constant coupling mixing angle:
 
     tau(t)   = gamma_dot(t) * cos(theta)
     alpha(t) = -exp(i*delta*t) * gamma_dot(t) * sin(theta)
 
 i.e. the spin-flip drive is resonant with the Zeeman splitting delta.
+:func:`h0_matrix` and :func:`full_hamiltonian` are single-instant views of
+the two; :func:`analytic_propagator` is the closed-form U(t).
 """
 
 from __future__ import annotations
@@ -155,38 +159,45 @@ def check_normalized(state: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return psi
 
 
-def h0_matrix(sample: ControlSample, params: SystemParams) -> np.ndarray:
-    """Laboratory-frame Hamiltonian for given (tau, alpha) controls.
+def hamiltonian(tau, alpha, delta: float) -> np.ndarray:
+    """Laboratory-frame Hamiltonian for (tau, alpha) controls, shape (..., 4, 4).
 
     Zeros on diagonal entries 1, 2 and delta on 3, 4; tau on the 1-2 and 3-4
     links; alpha on 1-3 and -alpha on 2-4, conjugated below the diagonal.
+    Broadcasts over the leading axes of ``tau`` and ``alpha``.
     """
-    tau = float(sample.tau)
-    alpha = complex(sample.alpha)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = tau
-    h[1, 0] = tau
-    h[2, 3] = tau
-    h[3, 2] = tau
-    h[0, 2] = alpha
-    h[2, 0] = np.conj(alpha)
-    h[1, 3] = -alpha
-    h[3, 1] = -np.conj(alpha)
-    h[2, 2] = params.delta
-    h[3, 3] = params.delta
+    tau = np.asarray(tau, dtype=float)
+    alpha = np.asarray(alpha, dtype=complex)
+    h = np.zeros(np.broadcast_shapes(tau.shape, alpha.shape) + (4, 4), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = h[..., 2, 3] = h[..., 3, 2] = tau
+    h[..., 0, 2] = alpha
+    h[..., 2, 0] = np.conj(alpha)
+    h[..., 1, 3] = -alpha
+    h[..., 3, 1] = -np.conj(alpha)
+    h[..., 2, 2] = h[..., 3, 3] = delta
     return h
 
 
-def controls_from_angles(angles: DiamondAngles, t: float, params: SystemParams) -> ControlSample:
-    """Inverse-engineered controls at time t for the given drive angles.
+def drive_controls(gamma_dot, theta: float, delta: float, t):
+    """The control relation: (tau, alpha) from the drive-angle slope.
 
-    The lab-frame reading is alpha0 = 0, envelope -gamma_dot*sin(theta),
-    carrier frequency omega = delta (resonant drive).
+    Broadcasts over ``gamma_dot`` and ``t``.  The lab-frame reading is a
+    spin-flip drive with no DC part and carrier frequency delta (resonant).
     """
+    tau = gamma_dot * math.cos(theta)
+    alpha = -(np.exp(1j * delta * t) * gamma_dot * math.sin(theta))
+    return tau, alpha
+
+
+def h0_matrix(sample: ControlSample, params: SystemParams) -> np.ndarray:
+    """Laboratory-frame Hamiltonian for one control sample."""
+    return hamiltonian(sample.tau, sample.alpha, params.delta)
+
+
+def controls_from_angles(angles: DiamondAngles, t: float, params: SystemParams) -> ControlSample:
+    """Inverse-engineered controls at time t for the given drive angles."""
     _, gdot = angles.gamma(t)
-    gdot = float(gdot)
-    tau = gdot * math.cos(angles.theta)
-    alpha = -(np.exp(1j * params.delta * t) * gdot * math.sin(angles.theta))
+    tau, alpha = drive_controls(float(gdot), angles.theta, params.delta, t)
     return ControlSample(t=float(t), tau=tau, alpha=complex(alpha))
 
 
@@ -196,31 +207,14 @@ def full_hamiltonian(
     params: SystemParams,
     frame: PhaseFrame | None = None,
 ) -> np.ndarray:
-    """Diamond-gauge Hamiltonian at time t, written directly in terms of
-    (gamma_dot, theta, delta).
+    """Diamond-gauge Hamiltonian at time t for the drive angles.
 
     If a frame is passed it must be the diamond gauge for these params;
     this guards against evaluating the closed form in the wrong gauge.
     """
     if frame is not None and not frame.is_diamond(params.delta, t):
         raise ValueError("phase frame does not match the diamond gauge")
-    _, gdot = angles.gamma(t)
-    gdot = float(gdot)
-    ct = gdot * math.cos(angles.theta)
-    st = gdot * math.sin(angles.theta)
-    phase = np.exp(1j * params.delta * t)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = ct
-    h[1, 0] = ct
-    h[2, 3] = ct
-    h[3, 2] = ct
-    h[0, 2] = -(phase * st)
-    h[2, 0] = np.conj(-(phase * st))
-    h[1, 3] = phase * st
-    h[3, 1] = np.conj(phase * st)
-    h[2, 2] = params.delta
-    h[3, 3] = params.delta
-    return h
+    return h0_matrix(controls_from_angles(angles, t, params), params)
 
 
 def general_hamiltonian_check(

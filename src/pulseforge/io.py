@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar as HBAR_SI
-from scipy.constants import physical_constants
 
 from .dqd import SystemParams
 from .errors import PlanError, ScheduleFormatError
 from .propagate import FidelityTrace, Trajectory
 from .synth import AnsatzSpec, ControlSchedule, ScheduleMeta
 
-MU_BOHR_SI = physical_constants["Bohr magneton"][0]
+# CODATA 2018 values, as scipy.constants reports them; a literal keeps scipy
+# out of the import path of every command
+HBAR_SI = 1.0545718176461565e-34
+MU_BOHR_SI = 9.2740100657e-24
 
 _PI_LITERAL = re.compile(
     r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|[+-]?)pi(?:/(?P<den>(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?))?"
@@ -130,9 +131,6 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     lines.append(f"# gate={meta.gate}")
     lines.append(f"# branch={meta.branch}")
     lines.append(f"# ansatz={meta.ansatz}")
-    lines.append(f"# alpha0={complex(meta.alpha0)!r}")
-    if meta.omega is not None:
-        lines.append(f"# omega={float(meta.omega)!r}")
     lines.append(SCHEDULE_COLUMNS)
     for t, tau, alpha in zip(schedule.times, schedule.tau, schedule.alpha):
         # repr of Python floats round-trips exactly; numpy scalars do not
@@ -177,15 +175,15 @@ def read_schedule(path: str | Path) -> ControlSchedule:
     if not saw_columns or not rows:
         raise ScheduleFormatError(f"{path}: no schedule samples found")
 
-    def _float(key: str) -> float | None:
+    def _number(key: str, kind=float):
         if key not in header:
             return None
         try:
-            return float(header[key])
+            return kind(header[key])
         except ValueError as exc:
             raise ScheduleFormatError(f"{path}: bad header value for {key}: {exc}") from exc
 
-    delta = _float("delta")
+    delta = _number("delta")
     if delta is None:
         raise ScheduleFormatError(f"{path}: missing required header key 'delta'")
 
@@ -193,32 +191,24 @@ def read_schedule(path: str | Path) -> ControlSchedule:
     tau = np.array([r[1] for r in rows])
     alpha = np.array([complex(r[2], r[3]) for r in rows])
 
-    t_header = _float("T")
+    t_header = _number("T")
     span = float(times[-1])
     if t_header is not None and abs(t_header - span) > 1e-12 * max(1.0, abs(span)):
         raise ScheduleFormatError(
             f"{path}: header T={t_header!r} disagrees with last sample time {span!r}"
         )
-    if "n_samples" in header and int(header["n_samples"]) != len(rows):
+    n_header = _number("n_samples", int)
+    if n_header is not None and n_header != len(rows):
         raise ScheduleFormatError(
             f"{path}: header n_samples={header['n_samples']} disagrees with {len(rows)} rows"
         )
 
-    alpha0 = 0j
-    if "alpha0" in header:
-        try:
-            alpha0 = complex(header["alpha0"])
-        except ValueError as exc:
-            raise ScheduleFormatError(f"{path}: bad header value for alpha0: {exc}") from exc
-
     meta = ScheduleMeta(
         gate=header.get("gate", "raw"),
-        theta=_float("theta"),
-        gamma_final=_float("gamma_final"),
-        branch=int(header.get("branch", 0)),
+        theta=_number("theta"),
+        gamma_final=_number("gamma_final"),
+        branch=_number("branch", int) or 0,
         ansatz=header.get("ansatz", "cosine"),
-        alpha0=alpha0,
-        omega=_float("omega"),
     )
     try:
         return ControlSchedule(params=SystemParams(delta=delta), times=times, tau=tau, alpha=alpha, meta=meta)
@@ -302,7 +292,6 @@ class PlanDocument:
     system: SystemParams
     stages: list[StagePlan] = field(default_factory=list)
     out_dir: str | None = None
-    out_format: str = "csv"
 
 
 _GATE_NAMES = ("prepare", "phase", "not", "transport")
@@ -416,13 +405,4 @@ def load_plan(path: str | Path) -> PlanDocument:
     io_obj = doc.get("io", {})
     if not isinstance(io_obj, dict):
         raise PlanError(f"plan {path}: io section must be an object")
-    out_format = str(io_obj.get("format", "csv"))
-    if out_format not in ("csv", "json"):
-        raise PlanError(f"plan {path}: io format must be csv or json, got {out_format!r}")
-
-    return PlanDocument(
-        system=params,
-        stages=stages,
-        out_dir=io_obj.get("out_dir"),
-        out_format=out_format,
-    )
+    return PlanDocument(system=params, stages=stages, out_dir=io_obj.get("out_dir"))

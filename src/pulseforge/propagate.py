@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqd import check_normalized, propagator_matrix
+from .dqd import check_normalized, hamiltonian, propagator_matrix
 from .errors import IntegrationError, UnsupportedComparisonError
 from .synth import ControlSchedule
 
@@ -91,19 +91,7 @@ class FidelityTrace:
 
 def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float) -> np.ndarray:
     """-i H at each time, stacked; vectorized over the leading axis."""
-    m = tau.shape[0]
-    h = np.zeros((m, 4, 4), dtype=complex)
-    h[:, 0, 1] = tau
-    h[:, 1, 0] = tau
-    h[:, 2, 3] = tau
-    h[:, 3, 2] = tau
-    h[:, 0, 2] = alpha
-    h[:, 2, 0] = np.conj(alpha)
-    h[:, 1, 3] = -alpha
-    h[:, 3, 1] = -np.conj(alpha)
-    h[:, 2, 2] = delta
-    h[:, 3, 3] = delta
-    return -1j * h
+    return -1j * hamiltonian(tau, alpha, delta)
 
 
 def _transfer_matrices(a_stack: np.ndarray, h: float) -> np.ndarray:

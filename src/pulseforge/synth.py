@@ -27,9 +27,10 @@ import numpy as np
 from .dqd import (
     DiamondAngles,
     SystemParams,
+    analytic_propagator,
     basis_state,
+    drive_controls,
     left_qubit_state,
-    propagator_matrix,
 )
 from .errors import (
     DegeneratePhaseError,
@@ -222,30 +223,14 @@ GateSpec = PrepareSpec | PhaseGateSpec | NotGateSpec | TransportSpec
 
 @dataclass(frozen=True)
 class ScheduleMeta:
-    """Provenance of a schedule: gate kind, branch, and generating angles.
-
-    ``alpha0`` and ``omega`` record the lab-frame reading of the spin-flip
-    drive alpha(t) = alpha0 + alpha1(t) e^{i omega t}: the drive has no DC
-    part and is resonant with the Zeeman splitting.
-    """
+    """Provenance of a schedule: gate kind, branch, and generating angles."""
 
     gate: str = "raw"
     theta: float | None = None
     gamma_final: float | None = None
     branch: int = 0
     ansatz: str = "cosine"
-    alpha0: complex = 0j
-    omega: float | None = None
     profile: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
-
-
-def _controls_from_gamma(gamma_fn, theta: float, delta: float, times: np.ndarray):
-    """Sample (tau, alpha) from a drive-angle function; shared by the builder
-    and by analytic re-evaluation so the two agree bitwise."""
-    _, gdot = gamma_fn(times)
-    tau = gdot * math.cos(theta)
-    alpha = -(np.exp(1j * delta * times) * gdot * math.sin(theta))
-    return tau, alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,12 +291,15 @@ class ControlSchedule:
 
         A hand-edited tau or alpha column breaks the agreement, which
         forces integration back onto the (corrupted) samples so the
-        numerical oracle can see the corruption.
+        numerical oracle can see the corruption.  A non-finite sample never
+        agrees: it would otherwise slip past the relative tolerance (an
+        infinite scale) or out of the max (a NaN).
         """
         fn = self._gamma_fn()
-        if fn is None:
+        if fn is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):
             return False
-        tau_ref, alpha_ref = _controls_from_gamma(fn, self.meta.theta, self.params.delta, self.times)
+        _, gdot = fn(self.times)
+        tau_ref, alpha_ref = drive_controls(gdot, self.meta.theta, self.params.delta, self.times)
         scale = max(float(np.max(np.abs(self.tau))), float(np.max(np.abs(self.alpha))), 1.0)
         err = max(float(np.max(np.abs(self.tau - tau_ref))), float(np.max(np.abs(self.alpha - alpha_ref))))
         return err <= 1e-9 * scale
@@ -325,7 +313,8 @@ class ControlSchedule:
         """
         t = np.asarray(t, dtype=float)
         if self._samples_match_angles:
-            return _controls_from_gamma(self._gamma_fn(), self.meta.theta, self.params.delta, t)
+            _, gdot = self._gamma_fn()(t)
+            return drive_controls(gdot, self.meta.theta, self.params.delta, t)
         tau = np.interp(t, self.times, self.tau)
         alpha = np.interp(t, self.times, self.alpha.real) + 1j * np.interp(t, self.times, self.alpha.imag)
         return tau, alpha
@@ -341,7 +330,8 @@ def build_schedule(
 ) -> ControlSchedule:
     """Sample a drive-angle ramp into a control schedule."""
     times = np.linspace(0.0, duration, ansatz.n_samples)
-    tau, alpha = _controls_from_gamma(ansatz.gamma_fn(duration), theta, params.delta, times)
+    _, gdot = ansatz.gamma_fn(duration)(times)
+    tau, alpha = drive_controls(gdot, theta, params.delta, times)
     tau = np.array(tau)
     alpha = np.array(alpha)
     # the drive-angle slope vanishes at both ends; pin the samples exactly
@@ -353,8 +343,6 @@ def build_schedule(
         gamma_final=float(ansatz.gamma_final),
         branch=int(branch),
         ansatz=ansatz.family,
-        alpha0=0j,
-        omega=params.delta,
         profile=ansatz.profile,
     )
     return ControlSchedule(params=params, times=times, tau=tau, alpha=alpha, meta=meta)
@@ -517,9 +505,7 @@ def _fidelity(target: np.ndarray, state: np.ndarray) -> float:
 
 
 def _verify_schedule(schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray) -> None:
-    angles = schedule.angles()
-    gamma_t, _ = angles.gamma(schedule.T)
-    u = propagator_matrix(gamma_t, angles.theta, schedule.params.delta, schedule.T)
+    u = analytic_propagator(schedule.angles(), schedule.T, schedule.params)
     fid = _fidelity(target, u @ psi0)
     if fid < 1.0 - 1e-9:
         raise VerificationError(

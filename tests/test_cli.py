@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulseforge
 from pulseforge import NotGateSpec, synthesize_gate
 from pulseforge.cli import bloch_vector, compose_chain, main
-from pulseforge.errors import PlanError
+from pulseforge.errors import PlanError, ScheduleFormatError
 from pulseforge.io import (
     load_plan,
     parse_angle,
@@ -310,6 +315,27 @@ def test_simulate_nan_tau_cell_exits_4(tmp_path, capsys):
     assert main(["simulate", "--schedule", str(bad), "--out", str(tmp_path / "sim")]) == 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "column, value",
+    [(1, "inf"), (2, "nan"), (3, "-inf"), (1, "nan")],
+    ids=["inf-tau", "nan-re_alpha", "neg-inf-im_alpha", "nan-tau"],
+)
+def test_non_finite_sample_exits_4(tmp_path, capsys, command, column, value):
+    # one corrupt cell must reach the integrator, never be replaced by the ansatz
+    out = tmp_path / "out"
+    main(["prepare", "--plan", prep_plan(tmp_path, out)])
+    lines = (out / "stage01_prepare.csv").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if not line.startswith(("#", "t,"))) + 10
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main([command, "--schedule", str(bad), "--out", str(tmp_path / "sim")]) == 4
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_verify_pass_and_corruption(tmp_path, capsys):
     out = tmp_path / "out"
     main(["prepare", "--plan", prep_plan(tmp_path, out)])
@@ -521,3 +547,56 @@ def test_schedule_round_trip_exact(tmp_path, ref_params):
     assert back.meta.gamma_final == sched.meta.gamma_final
     assert back.params.delta == sched.params.delta
     assert back._samples_match_angles
+
+
+@pytest.mark.parametrize("key, value", [("branch", "x"), ("n_samples", "abc")])
+def test_bad_integer_header_names_file_and_key(tmp_path, ref_params, key, value):
+    sched = synthesize_gate(NotGateSpec(chi=0.7, mu=1.3), ref_params)
+    path = tmp_path / "s.csv"
+    write_schedule(path, sched)
+    lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
+             for line in path.read_text().splitlines()]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScheduleFormatError, match=rf"bad\.csv: bad header value for {key}"):
+        read_schedule(bad)
+    assert main(["verify", "--schedule", str(bad)]) == 2
+
+
+def test_v1_schedule_with_drive_reading_headers_still_reads(tmp_path, capsys):
+    # older writers added "# alpha0=..." and "# omega=..." header lines
+    out = tmp_path / "out"
+    main(["prepare", "--plan", prep_plan(tmp_path, out)])
+    plain = out / "stage01_prepare.csv"
+    lines = plain.read_text().splitlines()
+    at = lines.index("# ansatz=cosine") + 1
+    lines[at:at] = ["# alpha0=0j", f"# omega={REF_DELTA!r}"]
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join(lines) + "\n")
+
+    back = read_schedule(old)
+    assert back._samples_match_angles
+    assert np.array_equal(back.alpha, read_schedule(plain).alpha)
+    capsys.readouterr()
+    assert main(["verify", "--schedule", str(old)]) == 0
+    verified_old = capsys.readouterr().out
+    assert main(["verify", "--schedule", str(plain)]) == 0
+    assert capsys.readouterr().out == verified_old
+    for sched, sub in ((old, "old"), (plain, "plain")):
+        assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / sub)]) == 0
+    assert (tmp_path / "old" / "trajectory.csv").read_bytes() == (
+        tmp_path / "plain" / "trajectory.csv"
+    ).read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(pulseforge.__file__).resolve().parents[1])
+    code = (
+        "import sys, pulseforge.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"
