@@ -3,7 +3,13 @@
 Schedule files are plain text: `# key=value` header lines followed by a CSV
 body `t,tau,re_alpha,im_alpha`.  Floats are written with `repr`, which
 round-trips exactly, so a schedule read back from disk simulates
-bit-identically to the in-memory original.
+bit-identically to the in-memory original.  A sampled-ansatz schedule also
+carries its profile knots in `profile_s` and `profile_gamma` header lines.
+
+Each numeric writer (schedule body, trajectory CSV and JSON) stacks its
+cells into one float table and formats the whole table in one `%r` format
+call; the bytes are those of calling `repr` cell by cell, and the JSON
+export is laid out exactly as `json.dumps(payload, indent=2)` lays it out.
 
 Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqd import SystemParams
-from .errors import PlanError, ScheduleFormatError
+from .errors import InvalidAnsatzError, PlanError, ScheduleFormatError
 from .propagate import FidelityTrace, Trajectory
 from .synth import AnsatzSpec, ControlSchedule, ScheduleMeta
 
@@ -116,6 +122,17 @@ def _atomic_write(path: Path, text: str) -> None:
 SCHEDULE_COLUMNS = "t,tau,re_alpha,im_alpha"
 
 
+def _format_rows(table: np.ndarray) -> str:
+    """A 2-d float table as CSV lines of `repr` cells, in one format call."""
+    n, m = table.shape
+    # %r on a Python float is its shortest round-trip repr
+    return ((",".join(["%r"] * m) + "\n") * n) % tuple(table.ravel().tolist())
+
+
+def _float_list(values) -> str:
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     """Write a schedule file atomically (temp file then rename)."""
     path = Path(path)
@@ -131,11 +148,13 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     lines.append(f"# gate={meta.gate}")
     lines.append(f"# branch={meta.branch}")
     lines.append(f"# ansatz={meta.ansatz}")
+    if meta.ansatz == "sampled" and meta.profile is not None:
+        s, g = meta.profile
+        lines.append(f"# profile_s={_float_list(s)}")
+        lines.append(f"# profile_gamma={_float_list(g)}")
     lines.append(SCHEDULE_COLUMNS)
-    for t, tau, alpha in zip(schedule.times, schedule.tau, schedule.alpha):
-        # repr of Python floats round-trips exactly; numpy scalars do not
-        lines.append(f"{float(t)!r},{float(tau)!r},{float(alpha.real)!r},{float(alpha.imag)!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    table = np.column_stack((schedule.times, schedule.tau, schedule.alpha.real, schedule.alpha.imag))
+    _atomic_write(path, "\n".join(lines) + "\n" + _format_rows(table))
 
 
 def read_schedule(path: str | Path) -> ControlSchedule:
@@ -203,12 +222,32 @@ def read_schedule(path: str | Path) -> ControlSchedule:
             f"{path}: header n_samples={header['n_samples']} disagrees with {len(rows)} rows"
         )
 
+    def _knots(key: str) -> np.ndarray:
+        if key not in header:
+            raise ScheduleFormatError(f"{path}: missing header key {key!r} of the profile")
+        try:
+            return np.array([float(x) for x in header[key].split(",")])
+        except ValueError as exc:
+            raise ScheduleFormatError(f"{path}: bad header value for {key}: {exc}") from exc
+
+    gamma_final = _number("gamma_final")
+    profile = None
+    if "profile_s" in header or "profile_gamma" in header:
+        profile = (_knots("profile_s"), _knots("profile_gamma"))
+        if gamma_final is None:
+            raise ScheduleFormatError(f"{path}: profile_s/profile_gamma need the gamma_final header")
+        try:
+            AnsatzSpec(gamma_final=gamma_final, family="sampled", profile=profile)
+        except InvalidAnsatzError as exc:
+            raise ScheduleFormatError(f"{path}: bad header value for profile_s/profile_gamma: {exc}") from exc
+
     meta = ScheduleMeta(
         gate=header.get("gate", "raw"),
         theta=_number("theta"),
-        gamma_final=_number("gamma_final"),
+        gamma_final=gamma_final,
         branch=_number("branch", int) or 0,
         ansatz=header.get("ansatz", "cosine"),
+        profile=profile,
     )
     try:
         return ControlSchedule(params=SystemParams(delta=delta), times=times, tau=tau, alpha=alpha, meta=meta)
@@ -222,6 +261,29 @@ TRAJECTORY_COLUMNS = (
 )
 
 
+# JSON keys of a trajectory export and the table columns each one holds
+_TRAJECTORY_JSON = (
+    ("t", 0),
+    ("tau", 1),
+    ("re_alpha", 2),
+    ("im_alpha", 3),
+    ("populations", slice(4, 8)),
+    ("states_re", slice(8, 16, 2)),
+    ("states_im", slice(9, 16, 2)),
+    ("fidelity", 16),
+)
+
+
+def _trajectory_table(
+    traj: Trajectory, tau: np.ndarray, alpha: np.ndarray, fidelity: FidelityTrace
+) -> np.ndarray:
+    """One row per time step holding the cells of TRAJECTORY_COLUMNS."""
+    states = np.ascontiguousarray(traj.states, dtype=complex)
+    return np.column_stack((
+        traj.times, tau, alpha.real, alpha.imag, traj.populations, states.view(float), fidelity.fidelity,
+    ))
+
+
 def write_trajectory_csv(
     path: str | Path,
     traj: Trajectory,
@@ -229,17 +291,8 @@ def write_trajectory_csv(
     alpha: np.ndarray,
     fidelity: FidelityTrace,
 ) -> None:
-    lines = [TRAJECTORY_COLUMNS]
-    pops = traj.populations
-    for k, t in enumerate(traj.times):
-        c = traj.states[k]
-        cells = [repr(float(t)), repr(float(tau[k])), repr(float(alpha[k].real)), repr(float(alpha[k].imag))]
-        cells += [repr(float(p)) for p in pops[k]]
-        for amp in c:
-            cells += [repr(float(amp.real)), repr(float(amp.imag))]
-        cells.append(repr(float(fidelity.fidelity[k])))
-        lines.append(",".join(cells))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    table = _trajectory_table(traj, tau, alpha, fidelity)
+    _atomic_write(Path(path), TRAJECTORY_COLUMNS + "\n" + _format_rows(table))
 
 
 def write_trajectory_json(
@@ -249,17 +302,23 @@ def write_trajectory_json(
     alpha: np.ndarray,
     fidelity: FidelityTrace,
 ) -> None:
-    payload = {
-        "t": [float(x) for x in traj.times],
-        "tau": [float(x) for x in tau],
-        "re_alpha": [float(x) for x in alpha.real],
-        "im_alpha": [float(x) for x in alpha.imag],
-        "populations": [[float(p) for p in row] for row in traj.populations],
-        "states_re": [[float(c.real) for c in row] for row in traj.states],
-        "states_im": [[float(c.imag) for c in row] for row in traj.states],
-        "fidelity": [float(x) for x in fidelity.fidelity],
-    }
-    _atomic_write(Path(path), json.dumps(payload, indent=2) + "\n")
+    """The layout of ``json.dumps(payload, indent=2)``, formatted in one call."""
+    table = _trajectory_table(traj, tau, alpha, fidelity)
+    fields, blocks = [], []
+    for key, cols in _TRAJECTORY_JSON:
+        block = table[:, cols]
+        if block.ndim == 1:
+            item = "    %r"
+        else:
+            item = "    [\n" + ",\n".join(["      %r"] * block.shape[1]) + "\n    ]"
+        fields.append(f'  "{key}": [\n' + ",\n".join([item] * len(table)) + "\n  ]")
+        blocks.append(block.ravel())
+    text = ("{\n" + ",\n".join(fields) + "\n}\n") % tuple(np.concatenate(blocks).tolist())
+    if not np.isfinite(table).all():
+        # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
+        # no key holds either word
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    _atomic_write(Path(path), text)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

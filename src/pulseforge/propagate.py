@@ -113,8 +113,9 @@ def _transfer_matrices(a_stack: np.ndarray, h: float) -> np.ndarray:
 def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States of every column of ``psi`` (shape (4, k)) on the grid: (n + 1, 4, k).
 
-    Raises :class:`~pulseforge.errors.IntegrationError` when any state's norm
-    drifts by more than NORM_DRIFT_LIMIT at any step, or is not finite.
+    Raises :class:`~pulseforge.errors.IntegrationError` when a sampled
+    control is not finite, or when any state's norm drifts by more than
+    NORM_DRIFT_LIMIT at any step, or is not finite.
     """
     if grid.t_end > schedule.T * (1.0 + 1e-12):
         raise ValueError(
@@ -123,6 +124,10 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
     tau, alpha = schedule.controls_at(grid.half_times)
     tau = np.asarray(tau, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
+    finite = np.isfinite(tau) & np.isfinite(alpha)
+    if not finite.all():
+        bad = float(grid.half_times[np.argmin(finite)])
+        raise IntegrationError(f"control samples are not finite at t = {bad!r} s")
 
     n = grid.n_steps
     h = grid.t_end / n

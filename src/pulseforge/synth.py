@@ -109,6 +109,8 @@ class AnsatzSpec:
             s, g = (np.asarray(a, dtype=float) for a in self.profile)
             if s.ndim != 1 or s.shape != g.shape or s.size < 4:
                 raise InvalidAnsatzError("profile needs matching 1-d arrays with >= 4 points")
+            if not (np.isfinite(s).all() and np.isfinite(g).all()):
+                raise InvalidAnsatzError("profile knots must be finite")
             if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0):
                 raise InvalidAnsatzError("profile abscissae must increase strictly from 0 to 1")
             if abs(g[0]) > 1e-9 or abs(g[-1] - self.gamma_final) > 1e-9:
@@ -316,7 +318,10 @@ class ControlSchedule:
             _, gdot = self._gamma_fn()(t)
             return drive_controls(gdot, self.meta.theta, self.params.delta, t)
         tau = np.interp(t, self.times, self.tau)
-        alpha = np.interp(t, self.times, self.alpha.real) + 1j * np.interp(t, self.times, self.alpha.imag)
+        # 1j * inf is nan + inf j; a non-finite result is the caller's to
+        # reject, and writing .real/.imag apart would flip signed zeros
+        with np.errstate(invalid="ignore"):
+            alpha = np.interp(t, self.times, self.alpha.real) + 1j * np.interp(t, self.times, self.alpha.imag)
         return tau, alpha
 
 
