@@ -26,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dqd import (
-    analytic_propagator,
-    basis_state,
-    check_normalized,
-    left_qubit_state,
-    propagator_matrix,
-)
+from .dqd import analytic_propagator, basis_state, check_normalized, left_qubit_state
 from .errors import (
     DegeneratePhaseError,
     InfeasibleAmplitudeError,
@@ -56,7 +50,14 @@ from .io import (
     write_trajectory_csv,
     write_trajectory_json,
 )
-from .propagate import TimeGrid, Trajectory, compare_analytic, fidelity_trace, integrate
+from .propagate import (
+    TimeGrid,
+    Trajectory,
+    _unitarity_residual,
+    compare_analytic,
+    fidelity_trace,
+    integrate,
+)
 from .synth import (
     ControlSchedule,
     GateSpec,
@@ -397,8 +398,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule = read_schedule(args.schedule)
-    angles = schedule.angles()
-    if angles is None:
+    if schedule.angles() is None:
         raise UnsupportedComparisonError(
             "schedule lacks drive-angle metadata (theta/gamma_final headers); cannot verify"
         )
@@ -411,11 +411,8 @@ def cmd_verify(args) -> int:
         left_qubit_state(0.25 * math.pi, 0.5 * math.pi),
     ])
     max_error = compare_analytic(schedule, probes, grid)
-
-    gammas, _ = angles.gamma(grid.times)
-    u = propagator_matrix(gammas, angles.theta, schedule.params.delta, grid.times)
-    gram = np.einsum("tji,tjk->tik", np.conj(u), u)
-    unitarity = float(np.max(np.abs(gram - np.eye(4))))
+    # reads the closed form compare_analytic evaluated on this grid
+    unitarity = _unitarity_residual(schedule, grid)
 
     ok = max_error <= args.tol
     print(f"max |numeric - analytic| over {len(probes)} probe states: {max_error:.3e}")

@@ -11,6 +11,11 @@ cells into one float table and formats the whole table in one `%r` format
 call; the bytes are those of calling `repr` cell by cell, and the JSON
 export is laid out exactly as `json.dumps(payload, indent=2)` lays it out.
 
+The reader takes the header lines up to the column line, then parses the
+whole body in one `np.loadtxt` call, which rounds each cell exactly as
+`float()` does.  A cell that is not a float, or a row without 4 cells, is
+reported at its file line, found from the row number loadtxt names.
+
 Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
 strings (i or j), [re, im] pairs, or {"abs": ..., "phase": ...} objects.
@@ -18,7 +23,7 @@ strings (i or j), [re, im] pairs, or {"abs": ..., "phase": ...} objects.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import os
@@ -157,6 +162,47 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     _atomic_write(path, "\n".join(lines) + "\n" + _format_rows(table))
 
 
+# how loadtxt names the row it failed on: a cell it cannot convert by the
+# row's index among the data rows, a row of another width by their count
+_BAD_CELL = re.compile(r"(could not convert .*) at row (\d+), column (\d+)")
+_BAD_WIDTH = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
+
+
+def _data_line(body: list[str], first: int, row: int) -> int:
+    """File line number of data row ``row`` (from 0) of a body starting after line ``first``."""
+    data = (k for k, line in enumerate(body) if line and not line.startswith("#"))
+    return first + 1 + next(itertools.islice(data, row, None))
+
+
+def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
+    """The (n, 4) samples of a schedule body, parsed in one loadtxt call.
+
+    ``body`` holds the stripped lines after the column header, which is
+    file line ``first``.  A bad cell or a row of the wrong width raises
+    ScheduleFormatError naming its file line.
+    """
+    try:
+        table = np.loadtxt(body, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        msg = str(exc)
+        cell, width = _BAD_CELL.search(msg), _BAD_WIDTH.search(msg)
+        if cell:
+            row, reason = int(cell[2]), f"{cell[1]} in column {cell[3]}"
+        elif width and width[1] != "4":
+            # the first row set the odd width
+            row, reason = 0, f"expected 4 columns, got {width[1]}"
+        elif width:
+            row, reason = int(width[3]) - 1, f"expected 4 columns, got {width[2]}"
+        else:
+            raise ScheduleFormatError(f"{path}: {msg}") from exc
+        raise ScheduleFormatError(f"{path}:{_data_line(body, first, row)}: {reason}") from exc
+    if table.shape[1] != 4:
+        raise ScheduleFormatError(
+            f"{path}:{_data_line(body, first, 0)}: expected 4 columns, got {table.shape[1]}"
+        )
+    return table
+
+
 def read_schedule(path: str | Path) -> ControlSchedule:
     """Parse a schedule file; raises ScheduleFormatError on malformed input."""
     path = Path(path)
@@ -164,10 +210,10 @@ def read_schedule(path: str | Path) -> ControlSchedule:
         raw = path.read_text()
     except OSError as exc:
         raise ScheduleFormatError(f"cannot read schedule file {path}: {exc}") from exc
+    lines = raw.splitlines()
     header: dict[str, str] = {}
-    rows: list[tuple[float, float, float, float]] = []
-    saw_columns = False
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    first = None
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -177,22 +223,17 @@ def read_schedule(path: str | Path) -> ControlSchedule:
                 key, _, value = body.partition("=")
                 header[key.strip()] = value.strip()
             continue
-        if not saw_columns:
-            if line.replace(" ", "") != SCHEDULE_COLUMNS:
-                raise ScheduleFormatError(
-                    f"{path}:{lineno}: expected column header {SCHEDULE_COLUMNS!r}, got {line!r}"
-                )
-            saw_columns = True
-            continue
-        parts = next(csv.reader([line]))
-        if len(parts) != 4:
-            raise ScheduleFormatError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise ScheduleFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not saw_columns or not rows:
+        if line.replace(" ", "") != SCHEDULE_COLUMNS:
+            raise ScheduleFormatError(
+                f"{path}:{lineno}: expected column header {SCHEDULE_COLUMNS!r}, got {line!r}"
+            )
+        first = lineno
+        break
+    # stripped, a blank line is empty, which loadtxt skips like a comment
+    body = [line.strip() for line in lines[first:]] if first is not None else []
+    if not any(line and not line.startswith("#") for line in body):
         raise ScheduleFormatError(f"{path}: no schedule samples found")
+    table = _sample_table(path, body, first)
 
     def _number(key: str, kind=float):
         if key not in header:
@@ -206,9 +247,11 @@ def read_schedule(path: str | Path) -> ControlSchedule:
     if delta is None:
         raise ScheduleFormatError(f"{path}: missing required header key 'delta'")
 
-    times = np.array([r[0] for r in rows])
-    tau = np.array([r[1] for r in rows])
-    alpha = np.array([complex(r[2], r[3]) for r in rows])
+    times = table[:, 0]
+    tau = table[:, 1]
+    # the (re, im) pair read as one complex, without arithmetic: 1j * inf
+    # would turn an infinite imaginary part into a nan real part
+    alpha = np.ascontiguousarray(table[:, 2:]).view(complex)[:, 0]
 
     t_header = _number("T")
     span = float(times[-1])
@@ -217,9 +260,9 @@ def read_schedule(path: str | Path) -> ControlSchedule:
             f"{path}: header T={t_header!r} disagrees with last sample time {span!r}"
         )
     n_header = _number("n_samples", int)
-    if n_header is not None and n_header != len(rows):
+    if n_header is not None and n_header != len(table):
         raise ScheduleFormatError(
-            f"{path}: header n_samples={header['n_samples']} disagrees with {len(rows)} rows"
+            f"{path}: header n_samples={header['n_samples']} disagrees with {len(table)} rows"
         )
 
     def _knots(key: str) -> np.ndarray:

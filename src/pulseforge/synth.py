@@ -253,6 +253,9 @@ class ControlSchedule:
             raise ValueError("times, tau, alpha must be matching 1-d arrays")
         if times.size < 1 or times[0] != 0.0:
             raise ValueError("schedule grid must start at t = 0")
+        if not np.isfinite(times).all():
+            bad = int(np.argmin(np.isfinite(times)))
+            raise ValueError(f"schedule time {float(times[bad])!r} of sample {bad} is not finite")
         if times.size > 1 and np.any(np.diff(times) <= 0.0):
             raise ValueError("schedule grid must increase strictly")
         for a in (times, tau, alpha):

@@ -600,3 +600,10 @@ def test_cli_import_does_not_load_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_its_names_not_its_submodules():
+    from types import ModuleType
+
+    names = {n for n, v in vars(pulseforge).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert sorted(pulseforge.__all__) == sorted(names)

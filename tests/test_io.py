@@ -1,8 +1,9 @@
-"""Numeric writers against per-cell reference writers, and the sampled-ansatz
-profile's disk round trip."""
+"""Numeric writers against per-cell reference writers, the sampled-ansatz
+profile's disk round trip, and the schedule reader."""
 
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -285,3 +286,104 @@ def test_non_finite_control_names_time_without_warning(ref_prep_schedule, ref_pa
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="not finite at t = "):
             integrate(poisoned, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+# ------------------------------------------------------------------ the reader
+
+
+@st.composite
+def schedules_with_non_finite_cells(draw):
+    s = draw(schedules())
+    cols = [np.array(draw(st.lists(NON_FINITE, min_size=s.n_samples, max_size=s.n_samples)))
+            for _ in range(3)]
+    return ControlSchedule(params=s.params, times=s.times, tau=cols[0],
+                           alpha=_complex(cols[1], cols[2]), meta=s.meta)
+
+
+def _body_cells(text):
+    """Each body cell of a schedule file through float(), as a (n, 4) table."""
+    lines = text.splitlines()
+    rows = lines[lines.index(SCHEDULE_COLUMNS) + 1:]
+    return np.array([[float(cell) for cell in row.split(",")] for row in rows])
+
+
+def _read_table(schedule):
+    return np.column_stack((schedule.times, schedule.tau, schedule.alpha.real, schedule.alpha.imag))
+
+
+@settings(deadline=None)
+@given(schedules_with_non_finite_cells())
+def test_reader_is_bit_equal_to_float_of_each_cell(schedule):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.csv"
+        write_schedule(path, schedule)
+        expected = _body_cells(path.read_text())
+        back = read_schedule(path)
+    assert np.array_equal(_read_table(back).view(np.uint64), expected.view(np.uint64))
+
+
+def test_reader_skips_blank_lines_and_reads_crlf(tmp_path, ref_prep_schedule):
+    path = tmp_path / "s.csv"
+    write_schedule(path, ref_prep_schedule)
+    lines = path.read_text().splitlines()
+    k = lines.index(SCHEDULE_COLUMNS)
+    lines[k + 3:k + 3] = ["", "   ", "# a comment"]
+    lines[k + 1:k + 1] = [""]
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+    back = read_schedule(odd)
+    assert np.array_equal(_read_table(back), _read_table(ref_prep_schedule))
+    assert back.meta.theta == ref_prep_schedule.meta.theta
+
+
+@pytest.mark.parametrize(
+    "row, cells, reason",
+    [
+        (2, "1e-12,x,0.0,0.0", "could not convert string 'x'"),
+        (0, "0.0,0.0,0.0", "expected 4 columns, got 3"),
+        (3, "1e-12,0.0,0.0", "expected 4 columns, got 3"),
+        (3, "1e-12,0.0,0.0,0.0,0.0", "expected 4 columns, got 5"),
+        (4, "1e-12,0.0,,0.0", "could not convert string ''"),
+    ],
+    ids=["bad-cell", "first-row-3-columns", "3-columns", "5-columns", "empty-cell"],
+)
+def test_bad_body_row_names_file_and_line(tmp_path, ref_prep_schedule, row, cells, reason):
+    path = tmp_path / "s.csv"
+    write_schedule(path, ref_prep_schedule)
+    lines = path.read_text().splitlines()
+    k = lines.index(SCHEDULE_COLUMNS)
+    # a blank line and a comment before the bad row shift it off its data-row index
+    lines[k + 1:k + 1] = ["", "# note"]
+    bad_index = k + 3 + row
+    lines[bad_index] = cells
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScheduleFormatError, match=rf"bad\.csv:{bad_index + 1}: {re.escape(reason)}"):
+        read_schedule(bad)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("row, value", [(10, "nan"), (-1, "inf")], ids=["nan-time", "inf-last-time"])
+def test_non_finite_time_exits_2(tmp_path, capsys, ref_prep_schedule, command, row, value):
+    path = tmp_path / "s.csv"
+    write_schedule(path, ref_prep_schedule)
+    lines = path.read_text().splitlines()
+    k = lines.index(SCHEDULE_COLUMNS)
+    row = row if row >= 0 else len(lines) - k - 2
+    cells = lines[k + 1 + row].split(",")
+    cells[0] = value
+    lines[k + 1 + row] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScheduleFormatError, match=r"bad\.csv: schedule time .* is not finite"):
+        read_schedule(bad)
+    assert main([command, "--schedule", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_schedule_and_grid_reject_non_finite_times(ref_params, value):
+    with pytest.raises(ValueError, match="not finite"):
+        ControlSchedule(params=ref_params, times=[0.0, value, 2.0], tau=[0.0] * 3, alpha=[0.0] * 3)
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(value)

@@ -20,7 +20,8 @@ from pulseforge import (
     schedule_from_angles,
     synthesize_preparation,
 )
-from pulseforge.propagate import DEFAULT_N_STEPS, _hamiltonian_stack
+from pulseforge.dqd import propagator_matrix
+from pulseforge.propagate import DEFAULT_N_STEPS, SCAN_CHUNK, TRANSFER_BLOCK, _hamiltonian_stack
 from conftest import random_unit_state
 
 
@@ -266,6 +267,49 @@ def test_transfer_matrices_match_vector_loop(family, n_steps, ref_prep_schedule,
     psi0 = random_unit_state(rng)
     states = integrate(sched, psi0, grid).states
     assert np.max(np.abs(states - loop_rk4(sched, psi0, grid))) <= 1e-12
+
+
+def _family_schedule(family, ref_prep_schedule, ref_params):
+    if family == "cosine":
+        return ref_prep_schedule
+    if family == "sampled":
+        return _sampled_prep_schedule(ref_params)
+    return ControlSchedule(
+        params=ref_params,
+        times=ref_prep_schedule.times,
+        tau=ref_prep_schedule.tau,
+        alpha=ref_prep_schedule.alpha,
+        meta=ScheduleMeta(gate="raw"),
+    )
+
+
+# one step either side of a scan chunk and of a transfer block, and a long grid
+SCAN_EDGES = [SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, TRANSFER_BLOCK - 1, TRANSFER_BLOCK + 1, 16000]
+
+
+@pytest.mark.parametrize("n_steps", SCAN_EDGES)
+@pytest.mark.parametrize("family", ["cosine", "sampled", "interpolated"])
+def test_scan_matches_vector_loop_at_chunk_and_block_edges(family, n_steps, ref_prep_schedule, ref_params, rng):
+    sched = _family_schedule(family, ref_prep_schedule, ref_params)
+    # the default step size up to the full span, so short grids stay accurate
+    grid = TimeGrid(sched.T * min(n_steps, DEFAULT_N_STEPS) / DEFAULT_N_STEPS, n_steps)
+    psi0 = random_unit_state(rng)
+    states = integrate(sched, psi0, grid).states
+    assert np.max(np.abs(states - loop_rk4(sched, psi0, grid))) <= 1e-12
+    assert np.array_equal(states, integrate(sched, psi0, grid).states)
+
+    angles = sched.angles()
+    if angles is None:
+        return
+    probes = verify_probes()
+    gammas, _ = angles.gamma(grid.times)
+    u = propagator_matrix(gammas, angles.theta, sched.params.delta, grid.times)
+    loop_gap = max(
+        float(np.max(np.linalg.norm(loop_rk4(sched, p, grid) - u @ p, axis=1))) for p in probes
+    )
+    gap = compare_analytic(sched, probes, grid)
+    assert abs(gap - loop_gap) <= 1e-12
+    assert gap == compare_analytic(sched, probes, grid)
 
 
 def test_third_route_agreement_with_adaptive_integrator(ref_prep_schedule):
