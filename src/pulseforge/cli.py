@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dqd import analytic_propagator, basis_state, check_normalized, left_qubit_state
+from .dqd import SystemParams, analytic_propagator, basis_state, check_normalized, left_qubit_state
 from .errors import (
     DegeneratePhaseError,
     InfeasibleAmplitudeError,
@@ -65,8 +65,6 @@ from .synth import (
     PhaseGateSpec,
     PrepareSpec,
     TransportSpec,
-    declared_target,
-    initial_state,
     synthesize_gate,
 )
 
@@ -201,7 +199,7 @@ class ChainResult:
         return float(np.linalg.norm(self.analytic_final - self.ode_final))
 
     def declared_final(self) -> np.ndarray:
-        return declared_target(self.outcomes[-1].spec)
+        return self.outcomes[-1].spec.target_state()
 
     def ode_fidelity(self) -> float:
         return float(abs(np.vdot(self.declared_final(), self.ode_final)) ** 2)
@@ -212,6 +210,15 @@ class ChainResult:
 
 def _stage_error(exc: Exception, index: int, gate: str) -> Exception:
     return type(exc)(f"stage {index} ({gate}): {exc}")
+
+
+def _run_stage(
+    stage: StagePlan, spec: GateSpec, params: SystemParams, branch, psi: np.ndarray
+) -> tuple[ControlSchedule, np.ndarray]:
+    """A stage's schedule, on its own branch if it declares one, and the closed-form U(T) psi."""
+    stage_branch = stage.branch if stage.branch is not None else branch
+    schedule = synthesize_gate(spec, params, stage.ansatz, stage_branch)
+    return schedule, analytic_propagator(schedule.angles(), schedule.T, params) @ psi
 
 
 def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = 4000) -> ChainResult:
@@ -256,20 +263,13 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = 4000) -
             psi_ode = np.array([psi_ode[1], 0.0, 0.0, psi_ode[2]], dtype=complex)
 
         spec = materialize(stage, chi_in, mu_in)
-        stage_branch = stage.branch if stage.branch is not None else branch
         try:
-            schedule = synthesize_gate(spec, params, stage.ansatz, stage_branch)
+            schedule, psi_analytic = _run_stage(stage, spec, params, branch, psi_analytic)
+            psi_ode = integrate(schedule, psi_ode, TimeGrid(schedule.T, n_steps)).final_state
         except (_INFEASIBLE_ERRORS + _VERIFY_ERRORS + (InvalidAnsatzError,)) as exc:
             raise _stage_error(exc, index, stage.gate) from exc
 
-        psi_analytic = analytic_propagator(schedule.angles(), schedule.T, params) @ psi_analytic
-        grid = TimeGrid(schedule.T, n_steps)
-        try:
-            psi_ode = integrate(schedule, psi_ode, grid).final_state
-        except IntegrationError as exc:
-            raise _stage_error(exc, index, stage.gate) from exc
-
-        target = declared_target(spec)
+        target = spec.target_state()
         outcomes.append(
             StageOutcome(
                 index=index,
@@ -330,14 +330,11 @@ def _run_single_stage(args, want_prepare: bool) -> int:
         raise PlanError(f"stage {args.stage} is a {stage.gate} stage; use the '{cmd}' command, not '{other}'")
 
     spec = materialize(stage)
-    branch = stage.branch if stage.branch is not None else args.branch
-    schedule = synthesize_gate(spec, plan.system, stage.ansatz, branch)
+    schedule, predicted = _run_stage(stage, spec, plan.system, args.branch, spec.start_state())
 
     out_dir = _out_dir(args, plan)
     filename = _schedule_filename(args.stage + 1, stage.gate)
     write_schedule(out_dir / filename, schedule)
-
-    predicted = analytic_propagator(schedule.angles(), schedule.T, plan.system) @ initial_state(spec)
 
     print(f"stage {args.stage + 1}: gate={stage.gate}")
     print(f"theta = {schedule.meta.theta!r} rad (branch {schedule.meta.branch})")
@@ -470,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, plan=False, schedule=False, steps=False, tol=False, branch=False):
+    def add_common(p, plan=False, schedule=False, steps=False, tol=False, branch=False, fmt=False):
         if plan:
             p.add_argument("--plan", required=True, help="JSON plan document")
         if schedule:
@@ -486,20 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
                 default="min-theta",
                 help="solution branch: 'min-theta' (default) or an integer index",
             )
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="export format")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv", help="export format")
 
     p = sub.add_parser("prepare", help="synthesize a preparation stage")
-    add_common(p, plan=True, branch=True)
+    add_common(p, plan=True, branch=True, fmt=True)
     p.add_argument("--stage", type=int, default=0, help="stage index in the plan (default 0)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("gate", help="synthesize a phase/not/transport stage")
-    add_common(p, plan=True, branch=True)
+    add_common(p, plan=True, branch=True, fmt=True)
     p.add_argument("--stage", type=int, default=0, help="stage index in the plan (default 0)")
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("simulate", help="integrate a schedule and export the trajectory")
-    add_common(p, schedule=True, steps=True)
+    add_common(p, schedule=True, steps=True, fmt=True)
     p.add_argument("--psi0", default="1,0,0,0", help="initial state, 4 comma-separated amplitudes")
     p.add_argument("--target", default=None, help="optional target state for the fidelity column")
     p.set_defaults(func=cmd_simulate)

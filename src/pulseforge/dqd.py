@@ -43,8 +43,8 @@ class SystemParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ reported at its file line, found from the row number loadtxt names.
 Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
 strings (i or j), [re, im] pairs, or {"abs": ..., "phase": ...} objects.
+Every plan number must come out finite; anything else is a PlanError.
 """
 
 from __future__ import annotations
@@ -49,59 +50,62 @@ _PI_LITERAL = re.compile(
 )
 
 
-def parse_angle(value) -> float:
-    """Angle in radians from a number or a deg/pi-suffixed literal."""
-    if isinstance(value, bool):
-        raise PlanError(f"cannot parse angle literal {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        raise PlanError(f"cannot parse angle literal {value!r}")
-    s = value.strip().lower().replace(" ", "")
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    if s.endswith("deg"):
+def _plan_number(value, what: str) -> float:
+    """A finite float from a plan value: a number or a numeric string.
+
+    Anything else (null, a boolean, a list, text, nan, inf, an integer too
+    large for a float) raises PlanError naming ``what``.
+    """
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return math.radians(float(s[:-3]))
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise PlanError(f"{what} must be a finite number, got {value!r}")
+
+
+def parse_angle(value) -> float:
+    """Finite angle in radians from a number or a deg/pi-suffixed literal."""
+    angle = value
+    if isinstance(value, str):
+        angle = value.strip().lower().replace(" ", "")
+        m = _PI_LITERAL.fullmatch(angle)
+        try:
+            if m:
+                coeff = {"": 1.0, "+": 1.0, "-": -1.0}.get(m.group("num"))
+                angle = (float(m.group("num")) if coeff is None else coeff) * math.pi
+                if m.group("den"):
+                    angle /= float(m.group("den"))
+            elif angle.endswith("deg"):
+                angle = math.radians(float(angle[:-3]))
+        except (ValueError, ZeroDivisionError):
             raise PlanError(f"cannot parse angle literal {value!r}") from None
-    m = _PI_LITERAL.fullmatch(s)
-    if m:
-        num = m.group("num")
-        coeff = {"": 1.0, "+": 1.0, "-": -1.0}.get(num)
-        if coeff is None:
-            coeff = float(num)
-        angle = coeff * math.pi
-        if m.group("den"):
-            angle /= float(m.group("den"))
-        return angle
-    raise PlanError(f"cannot parse angle literal {value!r}")
+    return _plan_number(angle, "angle")
 
 
 def parse_complex(value) -> complex:
-    """Complex amplitude from a number, string, [re, im], or abs/phase object."""
-    if isinstance(value, bool):
-        raise PlanError(f"cannot parse complex literal {value!r}")
+    """Finite complex amplitude from a number, string, [re, im], or abs/phase object."""
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_plan_number(value, "complex amplitude"))
     if isinstance(value, str):
         s = value.strip().replace(" ", "").replace("i", "j").replace("I", "j")
         try:
-            return complex(s)
+            z = complex(s)
         except ValueError:
             raise PlanError(f"cannot parse complex literal {value!r}") from None
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise PlanError(f"complex amplitude must be finite, got {value!r}")
+        return z
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            raise PlanError(f"cannot parse complex literal {value!r}") from None
+        return complex(_plan_number(value[0], "real part"), _plan_number(value[1], "imaginary part"))
     if isinstance(value, dict):
         if "abs" in value and "phase" in value:
-            return float(value["abs"]) * complex(np.exp(1j * parse_angle(value["phase"])))
+            return _plan_number(value["abs"], "amplitude abs") * complex(np.exp(1j * parse_angle(value["phase"])))
         if "re" in value or "im" in value:
-            return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+            return complex(_plan_number(value.get("re", 0.0), "re"), _plan_number(value.get("im", 0.0), "im"))
     raise PlanError(f"cannot parse complex literal {value!r}")
 
 
@@ -409,18 +413,17 @@ def _parse_ansatz(obj) -> AnsatzSpec:
         kwargs["gamma_final"] = parse_angle(obj["gamma_final"])
     if "family" in obj:
         kwargs["family"] = str(obj["family"])
-    if "T" in obj:
-        kwargs["T"] = float(obj["T"])
-    if "t_max" in obj:
-        kwargs["t_max"] = float(obj["t_max"])
+    for key in ("T", "t_max"):
+        if key in obj:
+            kwargs[key] = _plan_number(obj[key], f"ansatz.{key}")
     if "n_samples" in obj:
-        kwargs["n_samples"] = int(obj["n_samples"])
+        kwargs["n_samples"] = int(_plan_number(obj["n_samples"], "ansatz.n_samples"))
     if "profile" in obj:
         prof = obj["profile"]
         try:
-            s = np.array([float(x) for x in prof["s"]])
+            s = np.array([_plan_number(x, "profile s") for x in prof["s"]])
             g = np.array([parse_angle(x) for x in prof["gamma"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise PlanError(f"bad sampled-gamma profile: {exc}") from exc
         kwargs["profile"] = (s, g)
     try:
@@ -461,8 +464,8 @@ def _parse_stage(obj, index: int) -> StagePlan:
             for key in ("A", "B", "lambda"):
                 if key not in obj:
                     raise PlanError(f"stage {index}: transport needs A, B and lambda")
-            stage.amp_a = float(obj["A"])
-            stage.amp_b = float(obj["B"])
+            stage.amp_a = _plan_number(obj["A"], f"stage {index}: A")
+            stage.amp_b = _plan_number(obj["B"], f"stage {index}: B")
             stage.lam = parse_angle(obj["lambda"])
     return stage
 
@@ -489,11 +492,13 @@ def load_plan(path: str | Path) -> PlanDocument:
             f"plan {path}: give exactly one of delta_rad_per_s or (b_field_mT + g_factor)"
         )
     if has_delta:
-        delta = float(system["delta_rad_per_s"])
+        delta = _plan_number(system["delta_rad_per_s"], "system.delta_rad_per_s")
     else:
         if "b_field_mT" not in system or "g_factor" not in system:
             raise PlanError(f"plan {path}: b_field_mT and g_factor must be given together")
-        delta = zeeman_splitting(system["b_field_mT"], system["g_factor"])
+        delta = zeeman_splitting(
+            _plan_number(system["b_field_mT"], "system.b_field_mT"), _plan_number(system["g_factor"], "system.g_factor")
+        )
     try:
         params = SystemParams(delta=delta)
     except ValueError as exc:
@@ -507,4 +512,7 @@ def load_plan(path: str | Path) -> PlanDocument:
     io_obj = doc.get("io", {})
     if not isinstance(io_obj, dict):
         raise PlanError(f"plan {path}: io section must be an object")
-    return PlanDocument(system=params, stages=stages, out_dir=io_obj.get("out_dir"))
+    out_dir = io_obj.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise PlanError(f"plan {path}: io.out_dir must be a string, got {out_dir!r}")
+    return PlanDocument(system=params, stages=stages, out_dir=out_dir)

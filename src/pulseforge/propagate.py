@@ -181,15 +181,17 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
     h = grid.t_end / n
     states = np.empty((n + 1,) + psi.shape, dtype=complex)
     states[0] = psi
-    for start in range(0, n, TRANSFER_BLOCK):
-        stop = min(start + TRANSFER_BLOCK, n)
-        nodes = slice(2 * start, 2 * stop + 1)
-        a = np.ascontiguousarray(
-            _hamiltonian_stack(tau[nodes], alpha[nodes], schedule.params.delta).transpose(1, 2, 0)
-        )
-        states[start + 1:stop + 1] = _block_states(_transfer_matrices(a, h), states[start])
-
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    # a step matrix too large for RK4 overflows to inf and nan; the drift
+    # check below rejects every such state, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, TRANSFER_BLOCK):
+            stop = min(start + TRANSFER_BLOCK, n)
+            nodes = slice(2 * start, 2 * stop + 1)
+            a = np.ascontiguousarray(
+                _hamiltonian_stack(tau[nodes], alpha[nodes], schedule.params.delta).transpose(1, 2, 0)
+            )
+            states[start + 1:stop + 1] = _block_states(_transfer_matrices(a, h), states[start])
+        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"state norm drifted by {drift:.3g} (limit {NORM_DRIFT_LIMIT:g}); "

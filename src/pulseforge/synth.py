@@ -11,7 +11,10 @@ Phase angles are always extracted as arguments of the complex final
 amplitudes rather than from cot/tan expressions, which removes the spurious
 singularities of the arctan form at mu -> 0 or chi -> 0.
 
-Every synthesized schedule is checked against the closed-form propagator
+Every gate kind takes this one path in :func:`synthesize_gate`; a spec
+class supplies only its own data (start and target states, the target
+magnitudes, its theta candidates and its phase condition).  Every
+synthesized schedule is checked against the closed-form propagator
 before it is returned; a schedule that misses its own target by more than
 1e-9 in fidelity raises :class:`~pulseforge.errors.VerificationError`.
 """
@@ -45,6 +48,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_N_SAMPLES = 2000
 
 _AMP_TOL = 1e-12
+_PHASE_TOL = 1e-12
 
 
 def gamma_ansatz(t, duration: float, gamma_final: float):
@@ -96,8 +100,10 @@ class AnsatzSpec:
             raise InvalidAnsatzError(f"unknown ansatz family {self.family!r}")
         if self.n_samples < 2:
             raise InvalidAnsatzError("n_samples must be at least 2")
-        if self.T is not None and not self.T > 0.0:
-            raise InvalidAnsatzError(f"requested duration must be positive, got {self.T!r}")
+        if not math.isfinite(self.gamma_final):
+            raise InvalidAnsatzError(f"gamma_final must be finite, got {self.gamma_final!r}")
+        if self.T is not None and not (self.T > 0.0 and math.isfinite(self.T)):
+            raise InvalidAnsatzError(f"requested duration must be positive and finite, got {self.T!r}")
         if self.t_max is not None:
             if not self.t_max > 0.0:
                 raise InvalidAnsatzError("t_max must be positive")
@@ -147,20 +153,49 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class PrepareSpec:
-    """Target right-dot qubit (b2, b3) prepared from |1>; b1 = b4 = 0."""
+    """Target right-dot qubit (b2, b3) prepared from |1>; b1 = b4 = 0.
+
+    Preparation is transport of the chi = 0 qubit with its own closed-form
+    inversion: theta = -/+ atan2(|b3|, |b2|), a pair even at |b2| = 0, and
+    the 0/pi offset of the realized ratio b3/b2 = -tan(theta) e^{-i delta T}.
+    """
 
     b2: complex
     b3: complex
 
+    gate = "prepare"
+
     def __post_init__(self) -> None:
         norm = abs(self.b2) ** 2 + abs(self.b3) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"|b2|^2 + |b3|^2 = {norm!r} must be 1 within 1e-10")
+
+    def start_state(self) -> np.ndarray:
+        return basis_state(1)
+
+    def target_state(self) -> np.ndarray:
+        return np.array([0.0, self.b2, self.b3, 0.0], dtype=complex)
+
+    def amplitudes(self) -> tuple[float, float]:
+        return abs(self.b2), abs(self.b3)
+
+    def theta_candidates(self) -> list[float]:
+        theta0 = math.atan2(abs(self.b3), abs(self.b2))
+        if theta0 < _AMP_TOL:
+            return [0.0]
+        if abs(theta0 - 0.5 * math.pi) < _AMP_TOL:
+            return [-0.5 * math.pi, 0.5 * math.pi]
+        return [-theta0, theta0]
+
+    def phase_condition(self, theta: float, gamma_final: float) -> tuple[float, float]:
+        return (0.0 if theta < 0.0 else math.pi), float(np.angle(self.b3 / self.b2))
 
 
 def _validated_qubit(chi: float, mu: float) -> tuple[float, float]:
     if not 0.0 <= chi <= 0.5 * math.pi:
         raise ValueError(f"chi must lie in [0, pi/2], got {chi!r}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
     mu = float(mu) % TWO_PI
     # mu carries no information when the qubit sits on a pole
     if math.sin(chi) * math.cos(chi) < _AMP_TOL:
@@ -169,55 +204,86 @@ def _validated_qubit(chi: float, mu: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class PhaseGateSpec:
+class _LeftQubitSpec:
+    """Transport of the left-dot qubit cos(chi)|1> + e^{i mu} sin(chi)|4>;
+    a subclass names the right-dot qubit it leaves in ``target_qubit``."""
+
+    chi: float
+    mu: float
+
+    def __post_init__(self) -> None:
+        chi, mu = _validated_qubit(self.chi, self.mu)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "mu", mu)
+
+    def start_state(self) -> np.ndarray:
+        return left_qubit_state(self.chi, self.mu)
+
+    def target_state(self) -> np.ndarray:
+        a, b, lam = self.target_qubit()
+        return np.array([0.0, a, b * np.exp(1j * lam), 0.0], dtype=complex)
+
+    def amplitudes(self) -> tuple[float, float]:
+        return self.target_qubit()[:2]
+
+    def theta_candidates(self) -> list[float]:
+        return solve_theta(self.chi, self.mu, *self.amplitudes())
+
+    def phase_condition(self, theta: float, gamma_final: float) -> tuple[float, float]:
+        zeta_a, zeta_b = zeta_phases(self.chi, self.mu, theta, gamma_final)
+        return zeta_b - zeta_a, self.target_qubit()[2]
+
+
+@dataclass(frozen=True)
+class PhaseGateSpec(_LeftQubitSpec):
     """Transport plus relative-phase rotation: theta = 0, no spin-flip drive.
 
     ``phase_shift`` is the added relative phase; the final qubit phase is
     mu + phase_shift (mod 2*pi).
     """
 
-    chi: float
-    mu: float
     phase_shift: float = 0.0
 
-    def __post_init__(self) -> None:
-        chi, mu = _validated_qubit(self.chi, self.mu)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "mu", mu)
+    gate = "phase"
+
+    def target_qubit(self) -> tuple[float, float, float]:
+        return math.cos(self.chi), math.sin(self.chi), (self.mu + self.phase_shift) % TWO_PI
+
+    def theta_candidates(self) -> list[float]:
+        # theta is pinned to exactly zero so alpha vanishes on every sample
+        return [0.0]
 
 
 @dataclass(frozen=True)
-class NotGateSpec:
+class NotGateSpec(_LeftQubitSpec):
     """Transport plus NOT: swaps the spin amplitudes, final phase -mu."""
 
-    chi: float
-    mu: float
+    gate = "not"
 
-    def __post_init__(self) -> None:
-        chi, mu = _validated_qubit(self.chi, self.mu)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "mu", mu)
+    def target_qubit(self) -> tuple[float, float, float]:
+        return math.sin(self.chi), math.cos(self.chi), -self.mu
 
 
 @dataclass(frozen=True)
-class TransportSpec:
+class TransportSpec(_LeftQubitSpec):
     """Transport to arbitrary real magnitudes (A, B) with relative phase lam."""
 
-    chi: float
-    mu: float
     a: float
     b: float
     lam: float
 
+    gate = "transport"
+
     def __post_init__(self) -> None:
-        chi, mu = _validated_qubit(self.chi, self.mu)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "mu", mu)
+        super().__post_init__()
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("A and B are magnitudes; fold signs into lam")
         norm = self.a * self.a + self.b * self.b
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"A^2 + B^2 = {norm!r} must be 1 within 1e-10")
+
+    def target_qubit(self) -> tuple[float, float, float]:
+        return self.a, self.b, self.lam
 
 
 GateSpec = PrepareSpec | PhaseGateSpec | NotGateSpec | TransportSpec
@@ -464,15 +530,17 @@ def operation_time(
 ) -> float:
     """Smallest strictly positive T with delta*T = zeta - lam (mod 2*pi).
 
-    A zero phase difference lifts to a full Zeeman period rather than
-    T = 0.  With ``t_min`` set, T is lifted by whole periods until it is
-    no smaller; with ``t_max`` set, an out-of-window T raises
+    A phase difference below 1e-12 rad lifts to a full Zeeman period
+    rather than to T ~ 0.  With ``t_min`` set, T is lifted by whole periods
+    until it is no smaller; with ``t_max`` set, an out-of-window T raises
     :class:`~pulseforge.errors.NoFeasibleTimeError`.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     phase = (zeta - lam_target) % TWO_PI
-    if phase == 0.0:
+    # a gap within rounding of zero is zero; taken literally it gives a T that
+    # underflows to 0 or a ramp too steep to sample
+    if phase < _PHASE_TOL:
         phase = TWO_PI
     duration = phase / delta
     if duration < t_min:
@@ -497,6 +565,9 @@ def _require_odd_half_pi(gamma_final: float) -> float:
 
 
 def _resolve_branch(ordered: list[float], branch) -> int:
+    if not ordered:
+        # solve_theta's reach test allows 1e-9 slack that its round-trip filter does not
+        raise InfeasibleAmplitudeError("no mixing angle reproduces the target magnitudes")
     if branch is None or branch == "min-theta":
         return 0
     try:
@@ -508,102 +579,13 @@ def _resolve_branch(ordered: list[float], branch) -> int:
     return idx
 
 
-def _fidelity(target: np.ndarray, state: np.ndarray) -> float:
-    return float(abs(np.vdot(target, state)) ** 2)
-
-
 def _verify_schedule(schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray) -> None:
     u = analytic_propagator(schedule.angles(), schedule.T, schedule.params)
-    fid = _fidelity(target, u @ psi0)
+    fid = float(abs(np.vdot(target, u @ psi0)) ** 2)
     if fid < 1.0 - 1e-9:
         raise VerificationError(
             f"synthesized schedule misses its target: fidelity {fid!r} < 1 - 1e-9"
         )
-
-
-def _free_duration(ansatz: AnsatzSpec, params: SystemParams) -> float:
-    duration = ansatz.T if ansatz.T is not None else TWO_PI / params.delta
-    if ansatz.t_max is not None and duration > ansatz.t_max:
-        raise NoFeasibleTimeError(
-            f"requested duration {duration:.6g} s exceeds the allowed maximum {ansatz.t_max:.6g} s"
-        )
-    return duration
-
-
-def synthesize_preparation(
-    target: PrepareSpec,
-    params: SystemParams,
-    ansatz: AnsatzSpec | None = None,
-    branch="min-theta",
-) -> ControlSchedule:
-    """Schedule that takes |1> to the right-dot qubit (0, b2, b3, 0).
-
-    The magnitudes fix |theta|; the sign branch fixes whether the Zeeman
-    phase must supply the target relative phase directly or offset by pi,
-    and the operation time is the smallest positive solution.  Index 0 is
-    the non-positive-theta branch.
-    """
-    ansatz = ansatz if ansatz is not None else AnsatzSpec()
-    _require_odd_half_pi(ansatz.gamma_final)
-    m2, m3 = abs(target.b2), abs(target.b3)
-    theta0 = math.atan2(m3, m2)
-    if theta0 < _AMP_TOL:
-        candidates = [0.0]
-    elif abs(theta0 - 0.5 * math.pi) < _AMP_TOL:
-        candidates = [-0.5 * math.pi, 0.5 * math.pi]
-    else:
-        candidates = [-theta0, theta0]
-    candidates.sort(key=lambda th: (abs(th), 0.0 if th <= 0.0 else 1.0))
-    idx = _resolve_branch(candidates, branch)
-    theta = candidates[idx]
-
-    if m2 < _AMP_TOL or m3 < _AMP_TOL:
-        # single-amplitude target: no relative phase to set, T is free
-        duration = _free_duration(ansatz, params)
-    else:
-        lam = float(np.angle(target.b3 / target.b2))
-        # realized ratio b3/b2 = -tan(theta) e^{-i delta T}
-        offset = 0.0 if theta < 0.0 else math.pi
-        duration = operation_time(offset, lam, params.delta, t_min=ansatz.T or 0.0, t_max=ansatz.t_max)
-
-    schedule = build_schedule(theta, ansatz, duration, params, gate="prepare", branch=idx)
-    target_vec = np.array([0.0, target.b2, target.b3, 0.0], dtype=complex)
-    _verify_schedule(schedule, basis_state(1), target_vec)
-    return schedule
-
-
-def _synthesize_transport(
-    chi: float,
-    mu: float,
-    a_amp: float,
-    b_amp: float,
-    lam: float,
-    params: SystemParams,
-    ansatz: AnsatzSpec,
-    branch,
-    gate: str,
-    force_theta: float | None = None,
-) -> ControlSchedule:
-    _require_odd_half_pi(ansatz.gamma_final)
-    if force_theta is not None:
-        candidates = [force_theta]
-    else:
-        candidates = solve_theta(chi, mu, a_amp, b_amp)
-    idx = _resolve_branch(candidates, branch)
-    theta = candidates[idx]
-
-    if a_amp < _AMP_TOL or b_amp < _AMP_TOL:
-        duration = _free_duration(ansatz, params)
-    else:
-        zeta_a, zeta_b = zeta_phases(chi, mu, theta, ansatz.gamma_final)
-        duration = operation_time(
-            zeta_b - zeta_a, lam, params.delta, t_min=ansatz.T or 0.0, t_max=ansatz.t_max
-        )
-
-    schedule = build_schedule(theta, ansatz, duration, params, gate=gate, branch=idx)
-    target_vec = np.array([0.0, a_amp, b_amp * np.exp(1j * lam), 0.0], dtype=complex)
-    _verify_schedule(schedule, left_qubit_state(chi, mu), target_vec)
-    return schedule
 
 
 def synthesize_gate(
@@ -612,50 +594,50 @@ def synthesize_gate(
     ansatz: AnsatzSpec | None = None,
     branch="min-theta",
 ) -> ControlSchedule:
-    """Synthesize a schedule for any declarative gate target."""
+    """Synthesize a schedule for any declarative gate target.
+
+    Every spec takes one path: its theta candidates (index 0 has the least
+    |theta|, non-positive first), the branch, then the operation time T,
+    free for a single-amplitude target and phase-quantized otherwise.
+    """
     ansatz = ansatz if ansatz is not None else AnsatzSpec()
-    if isinstance(spec, PrepareSpec):
-        return synthesize_preparation(spec, params, ansatz, branch)
-    if isinstance(spec, PhaseGateSpec):
-        # theta is pinned to exactly zero so alpha vanishes on every sample
-        lam = (spec.mu + spec.phase_shift) % TWO_PI
-        return _synthesize_transport(
-            spec.chi, spec.mu, math.cos(spec.chi), math.sin(spec.chi), lam,
-            params, ansatz, branch, gate="phase", force_theta=0.0,
-        )
-    if isinstance(spec, NotGateSpec):
-        return _synthesize_transport(
-            spec.chi, spec.mu, math.sin(spec.chi), math.cos(spec.chi), -spec.mu,
-            params, ansatz, branch, gate="not",
-        )
-    if isinstance(spec, TransportSpec):
-        return _synthesize_transport(
-            spec.chi, spec.mu, spec.a, spec.b, spec.lam,
-            params, ansatz, branch, gate="transport",
-        )
-    raise TypeError(f"unsupported gate spec {type(spec).__name__}")
+    _require_odd_half_pi(ansatz.gamma_final)
+    candidates = spec.theta_candidates()
+    idx = _resolve_branch(candidates, branch)
+    theta = candidates[idx]
+
+    a_amp, b_amp = spec.amplitudes()
+    if a_amp < _AMP_TOL or b_amp < _AMP_TOL:
+        # no relative phase to set: T is the requested one, or a Zeeman period
+        duration = ansatz.T if ansatz.T is not None else TWO_PI / params.delta
+        if ansatz.t_max is not None and duration > ansatz.t_max:
+            raise NoFeasibleTimeError(
+                f"requested duration {duration:.6g} s exceeds the allowed maximum {ansatz.t_max:.6g} s"
+            )
+    else:
+        zeta, lam = spec.phase_condition(theta, ansatz.gamma_final)
+        duration = operation_time(zeta, lam, params.delta, t_min=ansatz.T or 0.0, t_max=ansatz.t_max)
+
+    schedule = build_schedule(theta, ansatz, duration, params, gate=spec.gate, branch=idx)
+    _verify_schedule(schedule, spec.start_state(), spec.target_state())
+    return schedule
+
+
+def synthesize_preparation(
+    target: PrepareSpec,
+    params: SystemParams,
+    ansatz: AnsatzSpec | None = None,
+    branch="min-theta",
+) -> ControlSchedule:
+    """Schedule that takes |1> to the right-dot qubit (0, b2, b3, 0)."""
+    return synthesize_gate(target, params, ansatz, branch)
 
 
 def declared_target(spec: GateSpec) -> np.ndarray:
     """The four-component target state a gate spec declares, up to global phase."""
-    if isinstance(spec, PrepareSpec):
-        return np.array([0.0, spec.b2, spec.b3, 0.0], dtype=complex)
-    if isinstance(spec, PhaseGateSpec):
-        lam = (spec.mu + spec.phase_shift) % TWO_PI
-        return np.array(
-            [0.0, math.cos(spec.chi), math.sin(spec.chi) * np.exp(1j * lam), 0.0], dtype=complex
-        )
-    if isinstance(spec, NotGateSpec):
-        return np.array(
-            [0.0, math.sin(spec.chi), math.cos(spec.chi) * np.exp(-1j * spec.mu), 0.0], dtype=complex
-        )
-    if isinstance(spec, TransportSpec):
-        return np.array([0.0, spec.a, spec.b * np.exp(1j * spec.lam), 0.0], dtype=complex)
-    raise TypeError(f"unsupported gate spec {type(spec).__name__}")
+    return spec.target_state()
 
 
 def initial_state(spec: GateSpec) -> np.ndarray:
     """The four-component state a gate spec starts from."""
-    if isinstance(spec, PrepareSpec):
-        return basis_state(1)
-    return left_qubit_state(spec.chi, spec.mu)
+    return spec.start_state()

@@ -607,3 +607,70 @@ def test_package_exports_its_names_not_its_submodules():
 
     names = {n for n, v in vars(pulseforge).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert sorted(pulseforge.__all__) == sorted(names)
+
+
+# ------------------------------------------- plan numbers and the options
+
+
+def _stage_plan(tmp_path, stage, system=None):
+    return write_plan(tmp_path, {
+        "system": system or {"delta_rad_per_s": REF_DELTA},
+        "stages": [stage],
+        "io": {"out_dir": str(tmp_path / "out")},
+    })
+
+
+NOT_STAGE = {"gate": "not", "chi": 0.3, "mu": 0.2}
+TRANSPORT_STAGE = {"gate": "transport", "chi": 0.8, "mu": 0.3, "A": 0.6, "B": 0.8, "lambda": 1.9}
+PREPARE_STAGE = {"gate": "prepare", "target": {"b2": {"abs": 0.6, "phase": 0}, "b3": 0.8}}
+
+
+@pytest.mark.parametrize("command, stage, system, named", [
+    ("gate", {**NOT_STAGE, "ansatz": {"T": None}}, None, "ansatz.T"),
+    ("gate", {**NOT_STAGE, "ansatz": {"T": "inf"}}, None, "ansatz.T"),
+    ("gate", {**NOT_STAGE, "ansatz": {"gamma_final": "inf"}}, None, "'inf'"),
+    ("gate", {**NOT_STAGE, "ansatz": {"n_samples": None}}, None, "ansatz.n_samples"),
+    ("gate", {**NOT_STAGE, "mu": "nan"}, None, "'nan'"),
+    ("gate", {**NOT_STAGE, "chi": "pi/0"}, None, "'pi/0'"),
+    ("gate", {**TRANSPORT_STAGE, "A": None}, None, "A must be"),
+    ("gate", NOT_STAGE, {"delta_rad_per_s": "inf"}, "delta_rad_per_s"),
+    ("gate", NOT_STAGE, {"b_field_mT": None, "g_factor": 2.0}, "b_field_mT"),
+    ("prepare", {**PREPARE_STAGE, "target": {"b2": {"abs": None, "phase": 0}, "b3": 0.8}}, None, "abs"),
+    ("prepare", {**PREPARE_STAGE, "target": {"b2": "nan", "b3": 0.8}}, None, "'nan'"),
+])
+def test_non_finite_or_missing_plan_number_exits_2(tmp_path, capsys, command, stage, system, named):
+    assert main([command, "--plan", _stage_plan(tmp_path, stage, system)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_empty_theta_candidate_list_exits_3(tmp_path, capsys):
+    # |2A^2 - 1| inside solve_theta's slack past the reach, outside its filter
+    stage = {"gate": "transport", "chi": 0.05, "mu": "0.5pi",
+             "A": 0.049979164768802486, "B": 0.9987502606202477, "lambda": 0.3}
+    assert main(["gate", "--plan", _stage_plan(tmp_path, stage)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--schedule", "s.csv"], ["chain", "--plan", "p.json"]])
+def test_format_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_gate_json_format_writes_the_stage_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", _stage_plan(tmp_path, TRANSPORT_STAGE), "--format", "json"]) == 0
+    schedule = read_schedule(out / "stage01_transport.csv")
+    report = json.loads((out / "stage01_report.json").read_text())
+    assert report["theta"] == schedule.meta.theta
+    assert report["T"] == schedule.T
+    assert report["gate"] == "transport" and report["schedule_file"] == "stage01_transport.csv"
+
+
+def test_non_string_out_dir_exits_2(tmp_path, capsys):
+    plan = write_plan(tmp_path, {"system": {"delta_rad_per_s": REF_DELTA}, "stages": [NOT_STAGE], "io": {"out_dir": 5}})
+    assert main(["gate", "--plan", plan]) == 2
+    assert "io.out_dir" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,3 +361,12 @@ def test_interpolated_schedule_still_integrates(ref_prep_schedule, ref_params):
     approx = integrate(stripped, basis_state(1)).final_state
     assert np.linalg.norm(ref - approx) < 1e-3
     assert np.linalg.norm(ref - approx) > 0.0
+
+
+def test_overflowing_steps_raise_without_warnings():
+    # step matrices overflow to inf and nan; the drift check is the only report
+    wild = schedule_from_angles(0.3, 1e40, 1.0, SystemParams(delta=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="drifted by nan"):
+            integrate(wild, basis_state(1), TimeGrid(wild.T, 8))
