@@ -9,7 +9,9 @@ verify    cross-check a schedule file against the closed-form propagator
 chain     run a multi-stage plan across a dot chain
 
 Exit codes: 0 success, 2 invalid plan/schedule/arguments, 3 infeasible
-target, 4 verification or integration failure.
+target (an operation time past the float range included), 4 verification or
+integration failure (a synthesized schedule with a non-finite sample
+included; nothing is written then).
 
 Bloch convention: each stage's qubit basis is ordered (spin-down, spin-up),
 i.e. (|1>, |4>) on the left dot and (|2>, |3>) on the right dot, with

@@ -1,15 +1,19 @@
 """File formats: schedule files, trajectory exports, and plan documents.
 
 Schedule files are plain text: `# key=value` header lines followed by a CSV
-body `t,tau,re_alpha,im_alpha`.  Floats are written with `repr`, which
-round-trips exactly, so a schedule read back from disk simulates
+body `t,tau,re_alpha,im_alpha`.  Floats are written as `repr` spells them,
+which round-trips exactly, so a schedule read back from disk simulates
 bit-identically to the in-memory original.  A sampled-ansatz schedule also
 carries its profile knots in `profile_s` and `profile_gamma` header lines.
 
-Each numeric writer (schedule body, trajectory CSV and JSON) stacks its
-cells into one float table and formats the whole table in one `%r` format
-call; the bytes are those of calling `repr` cell by cell, and the JSON
-export is laid out exactly as `json.dumps(payload, indent=2)` lays it out.
+Each numeric writer (schedule body and knots, trajectory CSV and JSON)
+stacks its cells into float arrays and formats them with `_repr_dumps`, a
+block of rows (a JSON key) per call, writing each chunk as it comes.
+orjson writes the shortest round-trip digits, the same digits as `repr`;
+whole-buffer byte rewrites then give the exponents, the [1e-5, 1e-4) band
+and the non-finite cells `repr`'s spelling, so the bytes are those of
+calling `repr` cell by cell.  The JSON export is laid out exactly as
+`json.dumps(payload, indent=2)` lays it out.
 
 The reader takes the header lines up to the column line, then parses the
 whole body in one `np.loadtxt` call, which rounds each cell exactly as
@@ -115,12 +119,13 @@ def zeeman_splitting(b_field_mT: float, g_factor: float) -> float:
     return MU_BOHR_SI * abs(float(g_factor) * b_tesla) / HBAR_SI
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of bytes chunks to ``path`` through a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,16 +135,73 @@ def _atomic_write(path: Path, text: str) -> None:
 
 SCHEDULE_COLUMNS = "t,tau,re_alpha,im_alpha"
 
+# orjson writes 1e16 and 1e-7 where repr writes 1e+16 and 1e-07; both take
+# an exponent only from 1e16 up, so a positive one has two digits or three.
+# Each pattern starts with a literal, which regex search skips to.
+_EXP_POSITIVE = re.compile(rb"e(?=\d)")
+_EXP_NEGATIVE_ONE_DIGIT = re.compile(rb"e-(?=\d\b)")
+# orjson writes [1e-5, 1e-4) positionally, 0.000015 for repr's 1.5e-05
+_BAND_TAIL = re.compile(rb"\.0000(\d)(\d*)")
+_DIGITS = frozenset(b"0123456789")
 
-def _format_rows(table: np.ndarray) -> str:
-    """A 2-d float table as CSV lines of `repr` cells, in one format call."""
-    n, m = table.shape
-    # %r on a Python float is its shortest round-trip repr
-    return ((",".join(["%r"] * m) + "\n") * n) % tuple(table.ravel().tolist())
+
+def _band_to_exponent(buf: bytes) -> bytes:
+    """``buf`` with each cell 0.0000d... respelled d....e-05, as repr spells it."""
+    parts, last = [], 0
+    for m in _BAND_TAIL.finditer(buf):
+        # the cell is exactly "0" before the point; 10.00001 is not in the band
+        zero = m.start() - 1
+        if buf[zero] != ord("0") or (zero and buf[zero - 1] in _DIGITS):
+            continue
+        lead, rest = m.groups()
+        parts += (buf[last:zero], lead, b"." + rest if rest else b"", b"e-05")
+        last = m.end()
+    parts.append(buf[last:])
+    return b"".join(parts)
+
+
+def _repr_dumps(data, indent: bool = False) -> bytes:
+    """orjson's bytes for ``data``, every float cell spelled as `repr` spells it.
+
+    ``data`` is a C-contiguous float array or a dict of them.  orjson writes
+    a non-finite cell as null; it comes back as repr's nan, inf or -inf.
+    """
+    import orjson
+
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+    buf = orjson.dumps(data, option=option)
+    # each rewrite runs only where its cells occur; both formats switch to
+    # exponent form at 1e16 exactly, and orjson's positional band is
+    # [1e-5, 1e-4) exactly
+    arrays = list(data.values()) if isinstance(data, dict) else [data]
+    magnitudes = [np.abs(a) for a in arrays]
+    if any((m >= 1e16).any() for m in magnitudes):
+        buf = _EXP_POSITIVE.sub(b"e+", buf)
+    buf = _EXP_NEGATIVE_ONE_DIGIT.sub(b"e-0", buf)
+    if any(((m >= 1e-5) & (m < 1e-4)).any() for m in magnitudes):
+        buf = _band_to_exponent(buf)
+    if not all(np.isfinite(m).all() for m in magnitudes):
+        cells = np.concatenate([a.ravel() for a in arrays])
+        words = [repr(x).encode() for x in cells[~np.isfinite(cells)].tolist()]
+        parts = buf.split(b"null")
+        buf = b"".join(itertools.chain.from_iterable(zip(parts, words))) + parts[-1]
+    return buf
+
+
+# rows formatted per orjson call: the writers hold a block's few buffers at a
+# time, not several copies of the whole export
+_ROW_BLOCK = 512
+
+
+def _csv_rows(table: np.ndarray):
+    """A C-contiguous 2-d float table as CSV lines of `repr` cells, a block of rows at a time."""
+    for start in range(0, len(table), _ROW_BLOCK):
+        # orjson writes [[a,b],[c,d]]
+        yield _repr_dumps(table[start:start + _ROW_BLOCK])[2:-2].replace(b"],[", b"\n") + b"\n"
 
 
 def _float_list(values) -> str:
-    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+    return _repr_dumps(np.ascontiguousarray(values, dtype=float))[1:-1].decode()
 
 
 def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
@@ -163,7 +225,7 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
         lines.append(f"# profile_gamma={_float_list(g)}")
     lines.append(SCHEDULE_COLUMNS)
     table = np.column_stack((schedule.times, schedule.tau, schedule.alpha.real, schedule.alpha.imag))
-    _atomic_write(path, "\n".join(lines) + "\n" + _format_rows(table))
+    _atomic_write(path, itertools.chain([("\n".join(lines) + "\n").encode()], _csv_rows(table)))
 
 
 # how loadtxt names the row it failed on: a cell it cannot convert by the
@@ -339,7 +401,7 @@ def write_trajectory_csv(
     fidelity: FidelityTrace,
 ) -> None:
     table = _trajectory_table(traj, tau, alpha, fidelity)
-    _atomic_write(Path(path), TRAJECTORY_COLUMNS + "\n" + _format_rows(table))
+    _atomic_write(Path(path), itertools.chain([TRAJECTORY_COLUMNS.encode() + b"\n"], _csv_rows(table)))
 
 
 def write_trajectory_json(
@@ -349,27 +411,27 @@ def write_trajectory_json(
     alpha: np.ndarray,
     fidelity: FidelityTrace,
 ) -> None:
-    """The layout of ``json.dumps(payload, indent=2)``, formatted in one call."""
+    """The layout of ``json.dumps(payload, indent=2)``, formatted a key at a time."""
     table = _trajectory_table(traj, tau, alpha, fidelity)
-    fields, blocks = [], []
-    for key, cols in _TRAJECTORY_JSON:
-        block = table[:, cols]
-        if block.ndim == 1:
-            item = "    %r"
-        else:
-            item = "    [\n" + ",\n".join(["      %r"] * block.shape[1]) + "\n    ]"
-        fields.append(f'  "{key}": [\n' + ",\n".join([item] * len(table)) + "\n  ]")
-        blocks.append(block.ravel())
-    text = ("{\n" + ",\n".join(fields) + "\n}\n") % tuple(np.concatenate(blocks).tolist())
-    if not np.isfinite(table).all():
-        # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
-        # no key holds either word
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    _atomic_write(Path(path), text)
+    _atomic_write(Path(path), _json_fields(table))
+
+
+def _json_fields(table: np.ndarray):
+    """The trajectory JSON export of ``table``, one chunk per key."""
+    for k, (key, cols) in enumerate(_TRAJECTORY_JSON):
+        block = np.ascontiguousarray(table[:, cols])
+        # orjson writes {\n  "key": [...]\n}; the field lies between the braces
+        field = _repr_dumps({key: block}, indent=True)[2:-2]
+        if not np.isfinite(block).all():
+            # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
+            # no key holds either word
+            field = field.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+        yield b",\n" + field if k else b"{\n" + field
+    yield b"\n}\n"
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    _atomic_write(Path(path), json.dumps(payload, indent=2) + "\n")
+    _atomic_write(Path(path), [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
 @dataclass

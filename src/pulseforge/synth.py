@@ -404,8 +404,11 @@ def build_schedule(
 ) -> ControlSchedule:
     """Sample a drive-angle ramp into a control schedule."""
     times = np.linspace(0.0, duration, ansatz.n_samples)
-    _, gdot = ansatz.gamma_fn(duration)(times)
-    tau, alpha = drive_controls(gdot, theta, params.delta, times)
+    # a duration near the float range's ends gives inf or nan samples, which
+    # the synthesis check rejects; they are not worth a warning first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, gdot = ansatz.gamma_fn(duration)(times)
+        tau, alpha = drive_controls(gdot, theta, params.delta, times)
     tau = np.array(tau)
     alpha = np.array(alpha)
     # the drive-angle slope vanishes at both ends; pin the samples exactly
@@ -533,7 +536,8 @@ def operation_time(
     A phase difference below 1e-12 rad lifts to a full Zeeman period
     rather than to T ~ 0.  With ``t_min`` set, T is lifted by whole periods
     until it is no smaller; with ``t_max`` set, an out-of-window T raises
-    :class:`~pulseforge.errors.NoFeasibleTimeError`.
+    :class:`~pulseforge.errors.NoFeasibleTimeError`, as does a T or a
+    Zeeman phase delta*T past the float range.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -544,8 +548,13 @@ def operation_time(
         phase = TWO_PI
     duration = phase / delta
     if duration < t_min:
-        periods = math.ceil((t_min - duration) * delta / TWO_PI - 1e-12)
-        duration += max(periods, 0) * TWO_PI / delta
+        periods = (t_min - duration) * delta / TWO_PI - 1e-12
+        # past the float range there is no whole period count to lift by
+        duration += max(math.ceil(periods), 0) * TWO_PI / delta if math.isfinite(periods) else math.inf
+    if not math.isfinite(duration):
+        raise NoFeasibleTimeError(
+            f"the operation time for delta = {delta:.6g} rad/s and t_min = {t_min:.6g} s overflows"
+        )
     if t_max is not None and duration > t_max:
         raise NoFeasibleTimeError(
             f"required operation time {duration:.6g} s exceeds the allowed maximum {t_max:.6g} s"
@@ -580,11 +589,18 @@ def _resolve_branch(ordered: list[float], branch) -> int:
 
 
 def _verify_schedule(schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray) -> None:
+    finite = np.isfinite(schedule.tau) & np.isfinite(schedule.alpha)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise VerificationError(
+            f"synthesized schedule has a non-finite control sample at t = {float(schedule.times[bad])!r} s"
+        )
     u = analytic_propagator(schedule.angles(), schedule.T, schedule.params)
     fid = float(abs(np.vdot(target, u @ psi0)) ** 2)
-    if fid < 1.0 - 1e-9:
+    # written so that a nan fidelity fails too
+    if not fid >= 1.0 - 1e-9:
         raise VerificationError(
-            f"synthesized schedule misses its target: fidelity {fid!r} < 1 - 1e-9"
+            f"synthesized schedule misses its target: fidelity {fid!r} is not >= 1 - 1e-9"
         )
 
 
@@ -610,6 +626,8 @@ def synthesize_gate(
     if a_amp < _AMP_TOL or b_amp < _AMP_TOL:
         # no relative phase to set: T is the requested one, or a Zeeman period
         duration = ansatz.T if ansatz.T is not None else TWO_PI / params.delta
+        if not math.isfinite(duration):
+            raise NoFeasibleTimeError(f"the Zeeman period at delta = {params.delta:.6g} rad/s overflows")
         if ansatz.t_max is not None and duration > ansatz.t_max:
             raise NoFeasibleTimeError(
                 f"requested duration {duration:.6g} s exceeds the allowed maximum {ansatz.t_max:.6g} s"

@@ -602,6 +602,17 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_orjson():
+    # only the writers need it, and verify writes nothing
+    src = str(Path(pulseforge.__file__).resolve().parents[1])
+    code = "import sys, pulseforge.cli; print('orjson' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_package_exports_its_names_not_its_submodules():
     from types import ModuleType
 
@@ -642,6 +653,70 @@ def test_non_finite_or_missing_plan_number_exits_2(tmp_path, capsys, command, st
     assert main([command, "--plan", _stage_plan(tmp_path, stage, system)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+PHASE_STAGE = {"gate": "phase", "chi": 0.3, "mu": 0.2, "phase_shift": 0.7}
+
+# Each huge or tiny finite value in one field of an otherwise valid plan.
+# ansatz.n_samples and --steps are left out: a huge count would allocate
+# gigabytes before anything could reject it.
+EXTREME_FIELDS = [
+    ("ansatz.T", lambda v: ({**NOT_STAGE, "ansatz": {"T": v}}, None)),
+    ("t_max", lambda v: ({**NOT_STAGE, "ansatz": {"t_max": v}}, None)),
+    ("chi", lambda v: ({**NOT_STAGE, "chi": v}, None)),
+    ("mu", lambda v: ({**NOT_STAGE, "mu": v}, None)),
+    ("phase_shift", lambda v: ({**PHASE_STAGE, "phase_shift": v}, None)),
+    ("lambda", lambda v: ({**TRANSPORT_STAGE, "lambda": v}, None)),
+    ("A", lambda v: ({**TRANSPORT_STAGE, "A": v}, None)),
+    ("gamma_final", lambda v: ({**NOT_STAGE, "ansatz": {"gamma_final": v}}, None)),
+    ("delta_rad_per_s", lambda v: (NOT_STAGE, {"delta_rad_per_s": v})),
+    ("b_field_mT", lambda v: (NOT_STAGE, {"b_field_mT": v, "g_factor": 2.0})),
+    ("g_factor", lambda v: (NOT_STAGE, {"b_field_mT": 100.0, "g_factor": v})),
+    ("prepare ansatz.T", lambda v: ({**PREPARE_STAGE, "ansatz": {"T": v}}, None)),
+    # a target on one spin state takes T as given, not phase-quantized
+    ("prepare free ansatz.T", lambda v: ({"gate": "prepare", "target": {"b2": 1.0, "b3": 0.0}, "ansatz": {"T": v}}, None)),
+]
+
+
+@pytest.mark.parametrize("value", [1e300, 1e-300])
+@pytest.mark.parametrize("field, plan", EXTREME_FIELDS, ids=[f for f, _ in EXTREME_FIELDS])
+def test_extreme_finite_plan_number_keeps_the_exit_contract(tmp_path, capsys, field, plan, value):
+    stage, system = plan(value)
+    command = "prepare" if stage["gate"] == "prepare" else "gate"
+    # a RuntimeWarning is an error under the test settings, so none may occur
+    code = main([command, "--plan", _stage_plan(tmp_path, stage, system)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        (written,) = (tmp_path / "out").glob("*.csv")
+        schedule = read_schedule(written)
+        assert np.isfinite(schedule.tau).all() and np.isfinite(schedule.alpha).all()
+    else:
+        assert capsys.readouterr().err.startswith(("error: ", "infeasible: ", "verification failure: "))
+
+
+def test_non_finite_synthesized_samples_exit_4_and_write_nothing(tmp_path, capsys):
+    # delta = 1.76e308 rad/s makes T subnormal and the ramp slope overflow
+    system = {"b_field_mT": 1e300, "g_factor": 2}
+    assert main(["gate", "--plan", _stage_plan(tmp_path, NOT_STAGE, system)]) == 4
+    assert "non-finite control sample" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_operation_time_exits_3(tmp_path, capsys):
+    stage = {**NOT_STAGE, "ansatz": {"T": 1e299}}
+    assert main(["gate", "--plan", _stage_plan(tmp_path, stage)]) == 3
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_nan_fidelity_fails_the_synthesis_check():
+    from pulseforge.errors import VerificationError
+    from pulseforge.synth import ControlSchedule, ScheduleMeta, _verify_schedule
+
+    meta = ScheduleMeta(gate="not", theta=math.nan, gamma_final=0.5 * math.pi)
+    schedule = ControlSchedule(params=pulseforge.SystemParams(delta=REF_DELTA), times=[0.0, 1e-9],
+                               tau=[0.0, 0.0], alpha=[0.0, 0.0], meta=meta)
+    with pytest.raises(VerificationError, match="fidelity nan"):
+        _verify_schedule(schedule, pulseforge.basis_state(1), pulseforge.basis_state(2))
 
 
 def test_empty_theta_candidate_list_exits_3(tmp_path, capsys):

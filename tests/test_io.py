@@ -4,6 +4,7 @@ profile's disk round trip, and the schedule reader."""
 import json
 import math
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +23,8 @@ from pulseforge.errors import IntegrationError, ScheduleFormatError
 from pulseforge.io import (
     SCHEDULE_COLUMNS,
     TRAJECTORY_COLUMNS,
+    _ROW_BLOCK,
+    _repr_dumps,
     read_schedule,
     write_schedule,
     write_trajectory_csv,
@@ -172,6 +175,42 @@ def schedules(draw):
 @given(schedules())
 def test_schedule_writer_matches_reference(schedule):
     assert _written(write_schedule, schedule) == reference_schedule(schedule).encode()
+
+
+# ------------------------------------------------- the formatter, cell by cell
+
+# every float64, NaN payloads and both infinities included
+BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+# repr writes exponent form below 1e-4, orjson only below 1e-5
+BAND = st.builds(lambda x, negative: -x if negative else x,
+                 st.floats(1e-5, 1e-4, exclude_max=True), st.booleans())
+# one-, two- and three-digit exponents of both signs; past the float range
+# a value parses as 0 or inf, which the other draws also cover
+EXPONENTS = st.builds(lambda mantissa, exponent, negative: float(f"{'-' if negative else ''}{mantissa!r}e{exponent}"),
+                      st.floats(1.0, 10.0, exclude_max=True), st.integers(-330, 310), st.booleans())
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, allow_subnormal=True)
+EDGES = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-5, 1e-4, 1e16,
+                         9999999999999998.0, 1.7976931348623157e308])
+CELLS = st.one_of(BIT_PATTERNS, BAND, EXPONENTS, SUBNORMALS, EDGES)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(CELLS, min_size=1, max_size=40))
+@example([1.5e-05, -1e-05, 1e-07, -9.5e-09, 1e+16, -2.5e+100, 1e-100, 3e-310, math.nan, math.inf, -math.inf,
+          -0.0, 10.00001, 1000000000.0000002])
+def test_formatter_matches_repr_cell_by_cell(cells):
+    assert _repr_dumps(np.array(cells, dtype=float))[1:-1] == ",".join(map(repr, cells)).encode()
+
+
+def test_writers_match_reference_across_row_blocks():
+    # the writers format a block of rows per call; these rows span three
+    rows = 2 * _ROW_BLOCK + 76
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(rows, 17)) * 10.0 ** rng.integers(-12, 12, size=(rows, 17))
+    table[_ROW_BLOCK - 1, 3], table[_ROW_BLOCK, 16], table[-1, 0] = 1.5e-05, math.nan, -math.inf
+    parts = _trajectory_parts(table)
+    assert _written(write_trajectory_csv, *parts) == reference_trajectory_csv(*parts).encode()
+    assert _written(write_trajectory_json, *parts) == reference_trajectory_json(*parts).encode()
 
 
 # -------------------------------------------------- sampled-ansatz profile knots
