@@ -397,10 +397,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule = read_schedule(args.schedule)
-    if schedule.angles() is None:
-        raise UnsupportedComparisonError(
-            "schedule lacks drive-angle metadata (theta/gamma_final headers); cannot verify"
-        )
     grid = TimeGrid(schedule.T, args.steps)
 
     probes = np.stack([

@@ -258,7 +258,7 @@ def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid
     """
     if schedule.angles() is None:
         raise UnsupportedComparisonError(
-            "schedule carries no reconstructible drive-angle metadata"
+            "schedule lacks drive-angle metadata (theta/gamma_final headers); cannot verify"
         )
     if grid is None:
         grid = TimeGrid(schedule.T)

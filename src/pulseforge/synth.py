@@ -47,6 +47,8 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_N_SAMPLES = 2000
 
+ANSATZ_FAMILIES = ("cosine", "sampled")
+
 _AMP_TOL = 1e-12
 _PHASE_TOL = 1e-12
 
@@ -96,7 +98,7 @@ class AnsatzSpec:
     profile: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ("cosine", "sampled"):
+        if self.family not in ANSATZ_FAMILIES:
             raise InvalidAnsatzError(f"unknown ansatz family {self.family!r}")
         if self.n_samples < 2:
             raise InvalidAnsatzError("n_samples must be at least 2")
@@ -338,23 +340,21 @@ class ControlSchedule:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    def _gamma_fn(self):
+    @cached_property
+    def _angles(self) -> DiamondAngles | None:
+        """The one ramp every reader shares, built once; None without
+        theta/gamma_final, a positive span, a known family or its knots."""
         m = self.meta
         if m.theta is None or m.gamma_final is None or self.T <= 0.0:
             return None
-        if m.ansatz == "cosine":
-            return AnsatzSpec(gamma_final=m.gamma_final).gamma_fn(self.T)
-        if m.ansatz == "sampled" and m.profile is not None:
-            spec = AnsatzSpec(gamma_final=m.gamma_final, family="sampled", profile=m.profile)
-            return spec.gamma_fn(self.T)
-        return None
+        if m.ansatz not in ANSATZ_FAMILIES or (m.ansatz == "sampled" and m.profile is None):
+            return None
+        ramp = AnsatzSpec(m.gamma_final, family=m.ansatz, profile=m.profile)
+        return DiamondAngles(gamma=ramp.gamma_fn(self.T), theta=m.theta)
 
     def angles(self) -> DiamondAngles | None:
         """Generating drive angles, when the metadata allows reconstruction."""
-        fn = self._gamma_fn()
-        if fn is None:
-            return None
-        return DiamondAngles(gamma=fn, theta=self.meta.theta)
+        return self._angles
 
     @cached_property
     def _samples_match_angles(self) -> bool:
@@ -366,10 +366,10 @@ class ControlSchedule:
         agrees: it would otherwise slip past the relative tolerance (an
         infinite scale) or out of the max (a NaN).
         """
-        fn = self._gamma_fn()
-        if fn is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):
+        angles = self._angles
+        if angles is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):
             return False
-        _, gdot = fn(self.times)
+        _, gdot = angles.gamma(self.times)
         tau_ref, alpha_ref = drive_controls(gdot, self.meta.theta, self.params.delta, self.times)
         scale = max(float(np.max(np.abs(self.tau))), float(np.max(np.abs(self.alpha))), 1.0)
         err = max(float(np.max(np.abs(self.tau - tau_ref))), float(np.max(np.abs(self.alpha - alpha_ref))))
@@ -384,7 +384,7 @@ class ControlSchedule:
         """
         t = np.asarray(t, dtype=float)
         if self._samples_match_angles:
-            _, gdot = self._gamma_fn()(t)
+            _, gdot = self._angles.gamma(t)
             return drive_controls(gdot, self.meta.theta, self.params.delta, t)
         tau = np.interp(t, self.times, self.tau)
         # 1j * inf is nan + inf j; a non-finite result is the caller's to
@@ -624,14 +624,9 @@ def synthesize_gate(
 
     a_amp, b_amp = spec.amplitudes()
     if a_amp < _AMP_TOL or b_amp < _AMP_TOL:
-        # no relative phase to set: T is the requested one, or a Zeeman period
-        duration = ansatz.T if ansatz.T is not None else TWO_PI / params.delta
-        if not math.isfinite(duration):
-            raise NoFeasibleTimeError(f"the Zeeman period at delta = {params.delta:.6g} rad/s overflows")
-        if ansatz.t_max is not None and duration > ansatz.t_max:
-            raise NoFeasibleTimeError(
-                f"requested duration {duration:.6g} s exceeds the allowed maximum {ansatz.t_max:.6g} s"
-            )
+        # no relative phase to set: T is the requested one, or the zero phase
+        # gap lifted to a full Zeeman period
+        duration = ansatz.T if ansatz.T is not None else operation_time(0.0, 0.0, params.delta, t_max=ansatz.t_max)
     else:
         zeta, lam = spec.phase_condition(theta, ansatz.gamma_final)
         duration = operation_time(zeta, lam, params.delta, t_min=ansatz.T or 0.0, t_max=ansatz.t_max)
