@@ -53,6 +53,7 @@ from .io import (
     write_trajectory_json,
 )
 from .propagate import (
+    DEFAULT_N_STEPS,
     TimeGrid,
     Trajectory,
     _unitarity_residual,
@@ -223,7 +224,7 @@ def _run_stage(
     return schedule, analytic_propagator(schedule.angles(), schedule.T, params) @ psi
 
 
-def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = 4000) -> ChainResult:
+def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT_N_STEPS) -> ChainResult:
     """Run every stage of a plan sequentially along the dot chain.
 
     A stage's output qubit on (|2>, |3>) becomes the next stage's input on
@@ -412,6 +413,10 @@ def cmd_verify(args) -> int:
     ok = max_error <= args.tol
     print(f"max |numeric - analytic| over {len(probes)} probe states: {max_error:.3e}")
     print(f"max unitarity residual of the closed form: {unitarity:.3e}")
+    if not schedule._samples_match_angles:
+        # an edit too small to move the integrated states is still an edit
+        print(f"max relative gap of the samples to their drive-angle controls: {schedule.sample_gap:.3e}")
+        ok = ok and schedule.sample_gap <= args.tol
     print(f"tolerance: {args.tol:.3e} -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -472,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--schedule", required=True, help="schedule file")
         p.add_argument("--out", default=None, help="output directory (default: plan io.out_dir or '.')")
         if steps:
-            p.add_argument("--steps", type=int, default=4000, help="integration steps (default 4000)")
+            p.add_argument(
+                "--steps", type=int, default=DEFAULT_N_STEPS, help=f"integration steps (default {DEFAULT_N_STEPS})"
+            )
         if tol:
             p.add_argument("--tol", type=float, default=1e-7, help="verification tolerance (default 1e-7)")
         if branch:

@@ -35,6 +35,11 @@ import numpy as np
 
 GammaFunc = Callable[[np.ndarray | float], tuple[np.ndarray | float, np.ndarray | float]]
 
+# largest accepted |norm - 1| of a state
+_NORM_TOL = 1e-10
+# largest accepted gap of a phase frame's phases and rates to the diamond gauge
+_FRAME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -95,15 +100,15 @@ class PhaseFrame:
             np.exp(1j * self.phi4(t)),
         ])
 
-    def is_diamond(self, delta: float, t: float, tol: float = 1e-9) -> bool:
+    def is_diamond(self, delta: float, t: float) -> bool:
         expected = PhaseFrame.diamond(delta)
         return (
-            abs(self.phi2(t) - expected.phi2(t)) <= tol
-            and abs(self.phi3(t) - expected.phi3(t)) <= tol
-            and abs(self.phi4(t) - expected.phi4(t)) <= tol
-            and abs(self.phi2_dot(t)) <= tol
-            and abs(self.phi3_dot(t) + delta) <= tol
-            and abs(self.phi4_dot(t) + delta) <= tol
+            abs(self.phi2(t) - expected.phi2(t)) <= _FRAME_TOL
+            and abs(self.phi3(t) - expected.phi3(t)) <= _FRAME_TOL
+            and abs(self.phi4(t) - expected.phi4(t)) <= _FRAME_TOL
+            and abs(self.phi2_dot(t)) <= _FRAME_TOL
+            and abs(self.phi3_dot(t) + delta) <= _FRAME_TOL
+            and abs(self.phi4_dot(t) + delta) <= _FRAME_TOL
         )
 
 
@@ -150,12 +155,12 @@ def right_qubit_state(chi: float, mu: float) -> np.ndarray:
     return v
 
 
-def check_normalized(state: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Return the state as a complex array, raising if its norm is off 1."""
+def check_normalized(state: np.ndarray) -> np.ndarray:
+    """Return the state as a complex array, raising if its norm is off 1 by more than 1e-10."""
     psi = np.asarray(state, dtype=complex).reshape(4)
     n = float(np.linalg.norm(psi))
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state norm {n!r} deviates from 1 by more than {tol}")
+    if abs(n - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm {n!r} deviates from 1 by more than {_NORM_TOL}")
     return psi
 
 

@@ -49,8 +49,14 @@ DEFAULT_N_SAMPLES = 2000
 
 ANSATZ_FAMILIES = ("cosine", "sampled")
 
+# largest relative sample gap (ControlSchedule.sample_gap) of a schedule
+# whose samples still follow its drive angles
+_SAMPLE_MATCH_TOL = 1e-9
+
 _AMP_TOL = 1e-12
 _PHASE_TOL = 1e-12
+# slack of solve_theta's reach test |2A^2 - 1| <= r
+_REACH_TOL = 1e-9
 
 
 def gamma_ansatz(t, duration: float, gamma_final: float):
@@ -168,7 +174,9 @@ class PrepareSpec:
     gate = "prepare"
 
     def __post_init__(self) -> None:
-        norm = abs(self.b2) ** 2 + abs(self.b3) ** 2
+        a2, a3 = abs(self.b2), abs(self.b3)
+        # products, not powers: a float power past 1e154 raises OverflowError
+        norm = a2 * a2 + a3 * a3
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"|b2|^2 + |b3|^2 = {norm!r} must be 1 within 1e-10")
 
@@ -283,6 +291,13 @@ class TransportSpec(_LeftQubitSpec):
         norm = self.a * self.a + self.b * self.b
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"A^2 + B^2 = {norm!r} must be 1 within 1e-10")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
+        if abs(self.lam) > TWO_PI:
+            # reduced once, as e^{i lam} in the target reduces it, so the phase
+            # condition reads the same angle; a float mod by TWO_PI drifts from
+            # that as |lam| grows, and zeta - lam loses zeta past ~1e16
+            object.__setattr__(self, "lam", float(np.angle(np.exp(1j * self.lam))))
 
     def target_qubit(self) -> tuple[float, float, float]:
         return self.a, self.b, self.lam
@@ -357,23 +372,38 @@ class ControlSchedule:
         return self._angles
 
     @cached_property
-    def _samples_match_angles(self) -> bool:
-        """True when the stored samples agree with the generating ansatz.
+    def sample_gap(self) -> float:
+        """Largest gap of the stored samples to the controls the drive angles
+        generate, relative to the largest control of the same column.
 
-        A hand-edited tau or alpha column breaks the agreement, which
-        forces integration back onto the (corrupted) samples so the
-        numerical oracle can see the corruption.  A non-finite sample never
-        agrees: it would otherwise slip past the relative tolerance (an
-        infinite scale) or out of the max (a NaN).
+        A hand-edited tau or alpha cell opens the gap.  Each column is
+        measured against its own scale, so a small alpha column cannot hide
+        behind a large tau column.  Without drive angles, or with a
+        non-finite sample, the gap is infinite: a NaN would otherwise drop
+        out of the max.
         """
         angles = self._angles
         if angles is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):
-            return False
+            return math.inf
         _, gdot = angles.gamma(self.times)
-        tau_ref, alpha_ref = drive_controls(gdot, self.meta.theta, self.params.delta, self.times)
-        scale = max(float(np.max(np.abs(self.tau))), float(np.max(np.abs(self.alpha))), 1.0)
-        err = max(float(np.max(np.abs(self.tau - tau_ref))), float(np.max(np.abs(self.alpha - alpha_ref))))
-        return err <= 1e-9 * scale
+        refs = drive_controls(gdot, self.meta.theta, self.params.delta, self.times)
+        gap = 0.0
+        for samples, ref in zip((self.tau, self.alpha), refs):
+            err = float(np.max(np.abs(samples - ref)))
+            if err > 0.0:
+                scale = float(np.max(np.abs(ref)))
+                gap = max(gap, err / scale if scale > 0.0 else math.inf)
+        return gap
+
+    @property
+    def _samples_match_angles(self) -> bool:
+        """True when the stored samples agree with the generating ansatz.
+
+        A corrupted sample breaks the agreement, which forces integration
+        back onto the (corrupted) samples so the numerical oracle can see
+        the corruption.
+        """
+        return self.sample_gap <= _SAMPLE_MATCH_TOL
 
     def controls_at(self, t):
         """Control values at arbitrary times within [0, T].
@@ -455,7 +485,7 @@ def transport_amplitudes(chi: float, mu: float, theta: float, gamma_t: float, ze
     ])
 
 
-def solve_theta(chi: float, mu: float, a_target: float, b_target: float, tol: float = 1e-9) -> list[float]:
+def solve_theta(chi: float, mu: float, a_target: float, b_target: float) -> list[float]:
     """All mixing angles in (-pi/2, pi/2] that realize magnitudes (A, B).
 
     Inverts the forward map directly: with gamma(T) an odd multiple of
@@ -474,12 +504,12 @@ def solve_theta(chi: float, mu: float, a_target: float, b_target: float, tol: fl
     r = math.hypot(a, b)
     if r < 1e-15:
         # every theta yields A = B = 1/sqrt(2); return the canonical branch
-        if abs(d) <= tol:
+        if abs(d) <= _REACH_TOL:
             return [0.0]
         raise InfeasibleAmplitudeError(
             f"target A={a_target!r} unreachable: chi={chi!r}, mu={mu!r} pin A^2 to 1/2"
         )
-    if abs(d) > r + tol:
+    if abs(d) > r + _REACH_TOL:
         raise InfeasibleAmplitudeError(
             f"target A={a_target!r} unreachable for chi={chi!r}, mu={mu!r}: "
             f"need |2A^2 - 1| <= {r:.6g}, got {abs(d):.6g}"
@@ -562,7 +592,7 @@ def operation_time(
     return duration
 
 
-def _require_odd_half_pi(gamma_final: float) -> float:
+def _require_odd_half_pi(gamma_final: float) -> None:
     """Gates need gamma(T) at an odd multiple of pi/2 so b1 = b4 = 0."""
     ratio = gamma_final / (0.5 * math.pi)
     nearest = round(ratio)
@@ -570,7 +600,6 @@ def _require_odd_half_pi(gamma_final: float) -> float:
         raise InvalidAnsatzError(
             f"gamma_final = {gamma_final!r} must be an odd multiple of pi/2 for gate synthesis"
         )
-    return math.sin(gamma_final)
 
 
 def _resolve_branch(ordered: list[float], branch) -> int:
@@ -645,12 +674,3 @@ def synthesize_preparation(
     """Schedule that takes |1> to the right-dot qubit (0, b2, b3, 0)."""
     return synthesize_gate(target, params, ansatz, branch)
 
-
-def declared_target(spec: GateSpec) -> np.ndarray:
-    """The four-component target state a gate spec declares, up to global phase."""
-    return spec.target_state()
-
-
-def initial_state(spec: GateSpec) -> np.ndarray:
-    """The four-component state a gate spec starts from."""
-    return spec.start_state()

@@ -749,3 +749,38 @@ def test_non_string_out_dir_exits_2(tmp_path, capsys):
     plan = write_plan(tmp_path, {"system": {"delta_rad_per_s": REF_DELTA}, "stages": [NOT_STAGE], "io": {"out_dir": 5}})
     assert main(["gate", "--plan", plan]) == 2
     assert "io.out_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [1e15, 1e16, 1e300, -1e300])
+def test_huge_transport_lambda_reaches_its_target(tmp_path, capsys, lam):
+    stage = {"gate": "transport", "chi": 0.6, "mu": 0.4, "A": 0.8, "B": 0.6, "lambda": lam}
+    assert main(["gate", "--plan", _stage_plan(tmp_path, stage)]) == 0
+    schedule = read_schedule(tmp_path / "out" / "stage01_transport.csv")
+    final = pulseforge.analytic_propagator(schedule.angles(), schedule.T, schedule.params) @ (
+        pulseforge.left_qubit_state(0.6, 0.4)
+    )
+    target = np.array([0.0, 0.8, 0.6 * np.exp(1j * lam), 0.0])
+    assert abs(np.vdot(target, final)) ** 2 > 1 - 1e-9
+
+
+def test_free_duration_past_t_max_exits_3(tmp_path, capsys):
+    stage = {"gate": "prepare", "target": {"b2": 1.0, "b3": 0.0}, "ansatz": {"t_max": 1e-9}}
+    assert main(["prepare", "--plan", _stage_plan(tmp_path, stage)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+def test_verify_without_drive_angle_headers_names_them(tmp_path, capsys):
+    sched = tmp_path / "plain.csv"
+    sched.write_text(
+        "# delta=1000000000.0\nt,tau,re_alpha,im_alpha\n0.0,0.0,0.0,0.0\n1e-09,0.0,0.0,0.0\n"
+    )
+    assert main(["verify", "--schedule", str(sched)]) == 2
+    assert "theta/gamma_final headers" in capsys.readouterr().err
+    with pytest.raises(pulseforge.UnsupportedComparisonError, match="theta/gamma_final headers"):
+        pulseforge.compare_analytic(read_schedule(sched), pulseforge.basis_state(1))
+
+
+@pytest.mark.parametrize("target", [{"b2": 1e300, "b3": 0.8}, {"b2": 0.6, "b3": {"abs": 1e300, "phase": 0}}])
+def test_prepare_target_past_the_float_square_exits_2(tmp_path, capsys, target):
+    assert main(["prepare", "--plan", _stage_plan(tmp_path, {"gate": "prepare", "target": target})]) == 2
+    assert "must be 1 within 1e-10" in capsys.readouterr().err

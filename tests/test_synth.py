@@ -480,3 +480,64 @@ def test_controls_at_falls_back_on_corruption(ref_prep_schedule, ref_params):
     assert not corrupted._samples_match_angles
     tau_mid, _ = corrupted.controls_at(np.array([corrupted.T / 2]))
     assert abs(tau_mid[0] - 1.01 * np.max(ref_prep_schedule.tau)) < 1e-3 * np.max(ref_prep_schedule.tau)
+
+
+def test_sample_gap_scales_each_column_on_its_own(ref_params):
+    # theta ~ 1.5e-4: alpha peaks 1e-4 below tau, so a scale shared by both
+    # columns would take a 1e-3 edit of alpha for rounding
+    a = math.cos(0.8) + 1e-4
+    sched = synthesize_gate(TransportSpec(chi=0.8, mu=0.3, a=a, b=math.sqrt(1 - a * a), lam=1.0), ref_params)
+    assert sched._samples_match_angles and sched.sample_gap <= 1e-15
+    alpha = sched.alpha.copy()
+    peak = int(np.argmax(np.abs(alpha)))
+    alpha[peak] *= 1.001
+    edited = ControlSchedule(params=ref_params, times=sched.times, tau=sched.tau, alpha=alpha, meta=sched.meta)
+    assert not edited._samples_match_angles
+    assert edited.sample_gap == pytest.approx(1e-3, rel=1e-6)
+
+
+# ------------------------------------------------- one ramp, one duration
+
+
+def _profile():
+    s_ax = np.linspace(0.0, 1.0, 9)
+    return s_ax, 0.25 * math.pi * (1 - np.cos(math.pi * s_ax))
+
+
+@pytest.mark.parametrize("family", ["cosine", "sampled"])
+def test_schedule_resolves_its_ramp_once(ref_params, family):
+    profile = _profile() if family == "sampled" else None
+    sched = synthesize_gate(NotGateSpec(chi=NOT_CHI, mu=NOT_MU), ref_params,
+                            AnsatzSpec(family=family, profile=profile))
+    angles = sched.angles()
+    assert angles is sched.angles()
+    assert angles.theta == sched.meta.theta
+    # controls_at reads the same ramp the closed form does
+    tau, alpha = sched.controls_at(sched.times)
+    np.testing.assert_array_equal(tau[1:-1], sched.tau[1:-1])
+    np.testing.assert_array_equal(alpha[1:-1], sched.alpha[1:-1])
+
+
+def test_free_duration_is_one_zeeman_period_or_the_requested_one(ref_params):
+    spec = PrepareSpec(b2=1, b3=0)
+    assert synthesize_gate(spec, ref_params).T.hex() == (2 * math.pi / REF_DELTA).hex()
+    requested = 3.3e-9
+    assert synthesize_gate(spec, ref_params, AnsatzSpec(T=requested)).T.hex() == requested.hex()
+
+
+def test_free_duration_past_t_max_is_infeasible(ref_params):
+    # one Zeeman period is 2 ns here
+    with pytest.raises(NoFeasibleTimeError, match="exceeds the allowed maximum"):
+        synthesize_gate(PrepareSpec(b2=0, b3=1), ref_params, AnsatzSpec(t_max=1e-9))
+
+
+def test_huge_transport_lambda_is_reduced_as_the_target_reads_it():
+    for lam in (1e15, 1e300, -1e300):
+        spec = TransportSpec(chi=0.6, mu=0.4, a=0.8, b=0.6, lam=lam)
+        assert -math.pi <= spec.lam <= math.pi
+        assert abs(np.exp(1j * spec.lam) - np.exp(1j * lam)) < 1e-15
+    # within one turn either way lambda is kept bit for bit
+    for lam in (2 * math.pi, -2 * math.pi, 1.9):
+        assert TransportSpec(chi=0.6, mu=0.4, a=0.8, b=0.6, lam=lam).lam == lam
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        TransportSpec(chi=0.6, mu=0.4, a=0.8, b=0.6, lam=math.inf)
