@@ -28,6 +28,12 @@ The integrator is deterministic: fixed step, no adaptivity, pure numpy
 arithmetic in a fixed order, so repeated runs on one platform are
 bit-identical.  The state norm is monitored at every step but never
 renormalized; renormalizing would mask integrator faults.
+
+:func:`compare_analytic` is the one place a schedule without drive-angle
+metadata is refused: it raises
+:class:`~pulseforge.errors.UnsupportedComparisonError` naming the
+theta/gamma_final headers, and ``verify`` relies on it.  The closed form
+reads the schedule's one resolved ramp (``ControlSchedule.angles()``).
 """
 
 from __future__ import annotations

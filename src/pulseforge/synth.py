@@ -13,10 +13,18 @@ singularities of the arctan form at mu -> 0 or chi -> 0.
 
 Every gate kind takes this one path in :func:`synthesize_gate`; a spec
 class supplies only its own data (start and target states, the target
-magnitudes, its theta candidates and its phase condition).  Every
-synthesized schedule is checked against the closed-form propagator
-before it is returned; a schedule that misses its own target by more than
-1e-9 in fidelity raises :class:`~pulseforge.errors.VerificationError`.
+magnitudes, its theta candidates and its phase condition).  The operation
+time always comes from :func:`operation_time`: a target with a vanishing
+amplitude has no phase to set, so its zero phase gap lifts to one Zeeman
+period unless the ansatz requests T.  Every synthesized schedule is checked
+against the closed-form propagator before it is returned; a schedule that
+misses its own target by more than 1e-9 in fidelity raises
+:class:`~pulseforge.errors.VerificationError`.
+
+A :class:`ControlSchedule` resolves its drive-angle ramp once, through one
+:class:`AnsatzSpec` built from its metadata; the closed form, the sample
+check and :meth:`ControlSchedule.controls_at` all read that one object, and
+:meth:`AnsatzSpec.gamma_fn` is the only place a ramp family is chosen.
 """
 
 from __future__ import annotations
