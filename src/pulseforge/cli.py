@@ -8,10 +8,9 @@ simulate  integrate a schedule file and export the trajectory
 verify    cross-check a schedule file against the closed-form propagator
 chain     run a multi-stage plan across a dot chain
 
-Exit codes: 0 success, 2 invalid plan/schedule/arguments, 3 infeasible
-target (an operation time past the float range included), 4 verification or
-integration failure (a synthesized schedule with a non-finite sample
-included; nothing is written then).
+Exit codes: 0 success, 2 invalid input, 3 infeasible target, 4 failed check;
+each error class carries its own code, and :mod:`pulseforge.errors` states
+the contract.
 
 Bloch convention: each stage's qubit basis is ordered (spin-down, spin-up),
 i.e. (|1>, |4>) on the left dot and (|2>, |3>) on the right dot, with
@@ -29,18 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqd import SystemParams, analytic_propagator, basis_state, check_normalized, left_qubit_state
-from .errors import (
-    DegeneratePhaseError,
-    InfeasibleAmplitudeError,
-    InfeasibleTargetError,
-    IntegrationError,
-    InvalidAnsatzError,
-    NoFeasibleTimeError,
-    PlanError,
-    ScheduleFormatError,
-    UnsupportedComparisonError,
-    VerificationError,
-)
+from .errors import InfeasibleTargetError, PlanError, PulseforgeError
 from .io import (
     PlanDocument,
     StagePlan,
@@ -74,24 +62,9 @@ from .synth import (
 TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
-
-_INVALID_ERRORS = (
-    PlanError,
-    ScheduleFormatError,
-    InvalidAnsatzError,
-    UnsupportedComparisonError,
-    ValueError,
-)
-_INFEASIBLE_ERRORS = (
-    InfeasibleTargetError,
-    InfeasibleAmplitudeError,
-    NoFeasibleTimeError,
-    DegeneratePhaseError,
-)
-_VERIFY_ERRORS = (VerificationError, IntegrationError)
+# the word main prints before an error's message, by the error's exit code
+_LABELS = {2: "error", 3: "infeasible", 4: "verification failure"}
 
 
 def bloch_vector(a_down: complex, a_up: complex) -> tuple[float, float, float]:
@@ -269,7 +242,7 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
         try:
             schedule, psi_analytic = _run_stage(stage, spec, params, branch, psi_analytic)
             psi_ode = integrate(schedule, psi_ode, TimeGrid(schedule.T, n_steps)).final_state
-        except (_INFEASIBLE_ERRORS + _VERIFY_ERRORS + (InvalidAnsatzError,)) as exc:
+        except PulseforgeError as exc:
             raise _stage_error(exc, index, stage.gate) from exc
 
         target = spec.target_state()
@@ -523,15 +496,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _VERIFY_ERRORS as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    except (PulseforgeError, ValueError) as exc:
+        code = getattr(exc, "exit_code", PulseforgeError.exit_code)
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

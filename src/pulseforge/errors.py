@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the CLI's exit codes.
 
-The CLI maps these onto its exit-code contract: bad input files and plans
-exit 2, infeasible synthesis targets exit 3, verification failures exit 4.
+This is the one statement of the exit-code contract.  Every class carries
+the code ``pulseforge`` exits with when it ends a command, as ``exit_code``:
+
+- 0: success (no error);
+- 2: invalid plan, schedule or arguments -- the base class's code, so a new
+  subclass has one by construction; a ``ValueError`` exits 2 as well;
+- 3: infeasible synthesis target (an operation time past the float range
+  included);
+- 4: verification or integration failure (a synthesized schedule with a
+  non-finite sample included; nothing is written then).
 """
 
 
 class PulseforgeError(Exception):
     """Base class for all pulseforge errors."""
+
+    exit_code = 2
 
 
 class InvalidAnsatzError(PulseforgeError):
@@ -16,25 +26,37 @@ class InvalidAnsatzError(PulseforgeError):
 class InfeasibleTargetError(PulseforgeError):
     """Requested final state cannot be reached by any schedule."""
 
+    exit_code = 3
+
 
 class InfeasibleAmplitudeError(PulseforgeError):
     """Amplitude pair (A, B) is outside the reachable set for this qubit."""
+
+    exit_code = 3
 
 
 class NoFeasibleTimeError(PulseforgeError):
     """No operation time satisfies the phase condition within the allowed window."""
 
+    exit_code = 3
+
 
 class DegeneratePhaseError(PulseforgeError):
     """A phase was requested for an amplitude that vanishes."""
+
+    exit_code = 3
 
 
 class VerificationError(PulseforgeError):
     """A synthesized schedule failed its internal propagation check."""
 
+    exit_code = 4
+
 
 class IntegrationError(PulseforgeError):
     """Numerical integration lost accuracy (norm drift beyond tolerance)."""
+
+    exit_code = 4
 
 
 class UnsupportedComparisonError(PulseforgeError):

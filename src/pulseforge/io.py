@@ -42,7 +42,7 @@ import numpy as np
 from .dqd import SystemParams
 from .errors import InvalidAnsatzError, PlanError, ScheduleFormatError
 from .propagate import FidelityTrace, Trajectory
-from .synth import AnsatzSpec, ControlSchedule, ScheduleMeta
+from .synth import ANSATZ_FAMILIES, AnsatzSpec, ControlSchedule, ScheduleMeta
 
 # CODATA 2018 values, as scipy.constants reports them; a literal keeps scipy
 # out of the import path of every command
@@ -305,9 +305,12 @@ def read_schedule(path: str | Path) -> ControlSchedule:
         if key not in header:
             return None
         try:
-            return kind(header[key])
+            value = kind(header[key])
         except ValueError as exc:
             raise ScheduleFormatError(f"{path}: bad header value for {key}: {exc}") from exc
+        if kind is float and not math.isfinite(value):
+            raise ScheduleFormatError(f"{path}: bad header value for {key}: {header[key]!r} is not finite")
+        return value
 
     delta = _number("delta")
     if delta is None:
@@ -321,7 +324,7 @@ def read_schedule(path: str | Path) -> ControlSchedule:
 
     t_header = _number("T")
     span = float(times[-1])
-    if t_header is not None and abs(t_header - span) > 1e-12 * max(1.0, abs(span)):
+    if t_header is not None and not abs(t_header - span) <= 1e-12 * abs(span):
         raise ScheduleFormatError(
             f"{path}: header T={t_header!r} disagrees with last sample time {span!r}"
         )
@@ -350,12 +353,15 @@ def read_schedule(path: str | Path) -> ControlSchedule:
         except InvalidAnsatzError as exc:
             raise ScheduleFormatError(f"{path}: bad header value for profile_s/profile_gamma: {exc}") from exc
 
+    ansatz = header.get("ansatz", "cosine")
+    if ansatz not in ANSATZ_FAMILIES:
+        raise ScheduleFormatError(f"{path}: bad header value for ansatz: {ansatz!r} is not one of {ANSATZ_FAMILIES}")
     meta = ScheduleMeta(
         gate=header.get("gate", "raw"),
         theta=_number("theta"),
         gamma_final=gamma_final,
         branch=_number("branch", int) or 0,
-        ansatz=header.get("ansatz", "cosine"),
+        ansatz=ansatz,
         profile=profile,
     )
     try:

@@ -366,11 +366,15 @@ class ControlSchedule:
     @cached_property
     def _angles(self) -> DiamondAngles | None:
         """The one ramp every reader shares, built once; None without
-        theta/gamma_final, a positive span, a known family or its knots."""
+        theta/gamma_final, a positive span, a known family or its knots, or
+        with a slope scale past the float range."""
         m = self.meta
         if m.theta is None or m.gamma_final is None or self.T <= 0.0:
             return None
         if m.ansatz not in ANSATZ_FAMILIES or (m.ansatz == "sampled" and m.profile is None):
+            return None
+        # gamma_ansatz's slope scale: an infinite one makes its flat ends inf * 0
+        if math.isinf(0.5 * m.gamma_final * (math.pi / self.T)):
             return None
         ramp = AnsatzSpec(m.gamma_final, family=m.ansatz, profile=m.profile)
         return DiamondAngles(gamma=ramp.gamma_fn(self.T), theta=m.theta)
@@ -573,7 +577,9 @@ def operation_time(
 
     A phase difference below 1e-12 rad lifts to a full Zeeman period
     rather than to T ~ 0.  With ``t_min`` set, T is lifted by whole periods
-    until it is no smaller; with ``t_max`` set, an out-of-window T raises
+    until it is no smaller, to within 1e-12 of a period plus the rounding of
+    the period count (about 4e-16 * t_min); with ``t_max`` set, an
+    out-of-window T raises
     :class:`~pulseforge.errors.NoFeasibleTimeError`, as does a T or a
     Zeeman phase delta*T past the float range.
     """

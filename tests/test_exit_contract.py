@@ -1,5 +1,6 @@
-"""Properties of the exit-code contract: an edited schedule never verifies,
-and a mutated plan ends in 0/2/3/4 without a traceback or a warning."""
+"""The exit-code contract: each error class's code and label, the process
+exit status, and properties: an edited sample or header never verifies, and
+a mutated plan or header ends in 0/2/3/4 without a traceback or a warning."""
 
 import contextlib
 import copy
@@ -8,16 +9,21 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pulseforge
 from pulseforge import AnsatzSpec, NotGateSpec, PhaseGateSpec, PrepareSpec, SystemParams, TransportSpec
 from pulseforge import synthesize_gate
+from pulseforge import cli
 from pulseforge.cli import main
 from pulseforge.io import write_schedule
 from conftest import REF_DELTA
@@ -80,6 +86,104 @@ def test_an_edited_sample_never_verifies(gate, family, n_samples, column, pick, 
     out = stdout.getvalue()
     assert code == 4
     assert "-> FAIL" in out and "PASS" not in out
+
+
+# ------------------------------------------------------- codes and labels
+
+EXIT_CODES = {
+    "PulseforgeError": 2,
+    "InvalidAnsatzError": 2,
+    "UnsupportedComparisonError": 2,
+    "ScheduleFormatError": 2,
+    "PlanError": 2,
+    "InfeasibleTargetError": 3,
+    "InfeasibleAmplitudeError": 3,
+    "NoFeasibleTimeError": 3,
+    "DegeneratePhaseError": 3,
+    "VerificationError": 4,
+    "IntegrationError": 4,
+}
+LABELS = {2: "error", 3: "infeasible", 4: "verification failure"}
+
+
+def test_every_exported_error_class_carries_its_exit_code():
+    exported = {
+        name for name in pulseforge.__all__
+        if isinstance(getattr(pulseforge, name), type) and issubclass(getattr(pulseforge, name), Exception)
+    }
+    assert exported == set(EXIT_CODES)
+    assert {name: getattr(pulseforge, name).exit_code for name in exported} == EXIT_CODES
+
+
+def _raise(error):
+    def command(args):
+        raise error("boom")
+    return command
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_main_exits_with_the_error_class_code_and_label(monkeypatch, capsys, name):
+    error = getattr(pulseforge, name)
+    monkeypatch.setattr(cli, "cmd_verify", _raise(error))
+    assert main(["verify", "--schedule", "unused.csv"]) == error.exit_code
+    assert capsys.readouterr().err == f"{LABELS[error.exit_code]}: boom\n"
+
+
+def test_a_value_error_and_a_new_subclass_exit_2(monkeypatch, capsys):
+    class NewError(pulseforge.PulseforgeError):
+        pass
+
+    for error in (ValueError, NewError):
+        monkeypatch.setattr(cli, "cmd_verify", _raise(error))
+        assert main(["verify", "--schedule", "unused.csv"]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_a_chain_stage_error_keeps_its_code_and_names_the_stage(tmp_path, monkeypatch, capsys, name):
+    error = getattr(pulseforge, name)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "system": {"delta_rad_per_s": REF_DELTA},
+        "stages": [{"gate": "not", "chi": 0.3, "mu": 0.2}],
+    }))
+    monkeypatch.setattr(cli, "synthesize_gate", lambda *args: _raise(error)(None))
+    assert main(["chain", "--plan", str(plan), "--out", str(tmp_path)]) == error.exit_code
+    assert capsys.readouterr().err == f"{LABELS[error.exit_code]}: stage 1 (not): boom\n"
+
+
+def _run_module(*argv, cwd):
+    src = str(Path(pulseforge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "pulseforge.cli", *argv], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("code, target", [
+    (0, {"b2": 0.6, "b3": 0.8}),
+    (2, {"b2": "text", "b3": 0.8}),
+    # weight on |4> cannot be prepared from |1>
+    (3, {"b2": 0.6, "b3": 0.0, "b4": 0.8}),
+])
+def test_the_process_exit_status_of_a_plan(tmp_path, code, target):
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "system": {"delta_rad_per_s": REF_DELTA},
+        "stages": [{"gate": "prepare", "target": target, "ansatz": {"n_samples": 50}}],
+    }))
+    result = _run_module("prepare", "--plan", "plan.json", cwd=tmp_path)
+    assert result.returncode == code
+    assert result.stderr.startswith(f"{LABELS[code]}: ") if code else result.stderr == ""
+
+
+def test_the_process_exit_status_of_a_failed_verify(tmp_path):
+    lines = list(_schedule_lines("not", "cosine", 2000))
+    body = lines.index("t,tau,re_alpha,im_alpha") + 1
+    lines[body + 1000] = ",".join(lines[body + 1000].split(",")[:1] + ["inf", "0.0", "0.0"])
+    (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+    result = _run_module("verify", "--schedule", "s.csv", cwd=tmp_path)
+    assert result.returncode == 4
+    assert result.stderr.startswith("verification failure: ")
 
 
 # ----------------------------------------------------------------- plans
@@ -173,3 +277,128 @@ def test_a_mutated_plan_keeps_the_exit_contract(mutation):
             os.chdir(cwd)
     assert code in (0, 2, 3, 4)
     assert [str(w.message) for w in caught] == []
+
+
+# ------------------------------------------------------- schedule headers
+
+# header edits that used to read fine: NaN T and a T off by 1e-6 verified,
+# theta=nan failed as a sample, theta=inf as a bare domain error, and an
+# unknown ansatz blamed the angle headers in verify and passed in simulate
+HEADER_REPROS = [
+    ("not", "cosine", "T", "nan"),
+    ("not", "cosine", "T", "-nan"),
+    *[(gate, family, "T", 1e-6) for gate in ("prepare", "not", "phase", "transport")
+      for family in ("cosine", "sampled")],
+    ("not", "cosine", "T", 1e-3),
+    ("not", "cosine", "theta", "nan"),
+    ("not", "cosine", "theta", "inf"),
+    ("not", "cosine", "gamma_final", "nan"),
+    ("not", "cosine", "ansatz", "bogus"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("gate, family, key, value", HEADER_REPROS)
+def test_a_malformed_header_is_an_invalid_schedule(tmp_path, capsys, command, gate, family, key, value):
+    lines = []
+    for line in _schedule_lines(gate, family, 2000):
+        if line.startswith(f"# {key}="):
+            old = line.split("=", 1)[1]
+            line = f"# {key}=" + (repr(float(old) * (1.0 + value)) if isinstance(value, float) else value)
+        lines.append(line)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    extra = ["--steps", "200", "--out", str(tmp_path)] if command == "simulate" else []
+    assert main([command, "--schedule", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and f" {key}" in captured.err
+    assert "PASS" not in captured.out
+
+COLUMNS = "t,tau,re_alpha,im_alpha"
+HEADER_VALUES = ["nan", "-nan", "inf", "", "text", "1e300", "-1", "0"]
+FLOAT_KEYS = ("delta", "T", "theta", "gamma_final")
+READ_KEYS = {"delta", "T", "theta", "gamma_final", "n_samples", "gate", "branch", "ansatz",
+             "profile_s", "profile_gamma"}
+
+
+def _header(lines) -> dict[str, str]:
+    """The header values the reader takes: the last line of a key wins."""
+    return dict(line[2:].split("=", 1) for line in lines[1:lines.index(COLUMNS)] if "=" in line)
+
+
+def _moved(old: str, new: str) -> bool:
+    """Whether a float header changed by at least 1e-6 (relative) or went non-finite."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return True
+    return not math.isfinite(b) or (b != a and abs(b - a) >= 1e-6 * abs(a))
+
+
+def test_a_ramp_whose_slope_overflows_is_not_used(tmp_path, capsys):
+    # gamma_final = 1e300 over 1.3e-10 s: the ramp's flat ends would be inf * 0
+    lines = [line.replace("# gamma_final=1.5707963267948966", "# gamma_final=1e300")
+             for line in _schedule_lines("not", "cosine", 2000)]
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--schedule", str(path)]) == 2
+    assert "lacks drive-angle metadata" in capsys.readouterr().err
+    # the samples themselves are fine; simulate integrates them
+    assert main(["simulate", "--schedule", str(path), "--steps", "200", "--out", str(tmp_path)]) == 0
+
+
+@st.composite
+def header_edits(draw):
+    """A written schedule with one header line dropped, duplicated with
+    another value, set to a bad value, scaled by 1 + eps, or joined by an
+    unknown key."""
+    gate, family = draw(st.sampled_from(sorted(SPECS))), draw(st.sampled_from(["cosine", "sampled"]))
+    lines = list(_schedule_lines(gate, family, 2000))
+    # most draws scale a number, and half edit a float header: the edits a
+    # PASS could hide
+    edit = draw(st.sampled_from(["drop", "duplicate", "set", "scale", "unknown"]) | st.just("scale"))
+    # a number to scale ends in a digit
+    rows = [r for r in range(1, lines.index(COLUMNS)) if edit != "scale" or lines[r][-1].isdigit()]
+    row = draw(st.sampled_from([r for r in rows if lines[r][2:].split("=")[0] in FLOAT_KEYS]) | st.sampled_from(rows))
+    key, value = lines[row][2:].split("=", 1)
+    if edit == "drop":
+        del lines[row]
+    elif edit == "duplicate":
+        lines.insert(row + draw(st.integers(0, 1)), f"# {key}={draw(st.sampled_from(HEADER_VALUES))}")
+    elif edit == "set":
+        lines[row] = f"# {key}={draw(st.sampled_from(HEADER_VALUES))}"
+    elif edit == "scale":
+        eps = 10.0 ** draw(st.floats(-6.0, 3.0))
+        lines[row] = f"# {key}=" + ",".join(repr(float(x) * (1.0 + eps)) for x in value.split(","))
+    else:
+        unknown = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in READ_KEYS))
+        lines.insert(row, f"# {unknown}={draw(st.sampled_from(HEADER_VALUES + [value]))}")
+    return gate, family, lines
+
+
+@settings(deadline=None, max_examples=80)
+@given(header_edits())
+def test_an_edited_header_keeps_the_exit_contract_and_never_verifies(case):
+    gate, family, lines = case
+    old = _header(_schedule_lines(gate, family, 2000))
+    new = _header(lines)
+    # a phase gate's alpha column is zero: its samples do not depend on delta
+    guarded = FLOAT_KEYS if gate != "phase" else FLOAT_KEYS[1:]
+    moved = [k for k in guarded if k in old and k in new and _moved(old[k], new[k])]
+    with (
+        tempfile.TemporaryDirectory() as d,
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        warnings.simplefilter("always")
+        path = Path(d) / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        codes = {}
+        for argv in (["simulate", "--schedule", str(path), "--steps", "200", "--out", d],
+                     ["verify", "--schedule", str(path)]):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                codes[argv[0]] = main(argv)
+    assert set(codes.values()) <= {0, 2, 3, 4}
+    assert [str(w.message) for w in caught] == []
+    if moved:
+        assert "PASS" not in stdout.getvalue(), moved

@@ -13,6 +13,7 @@ from pulseforge import (
     DegeneratePhaseError,
     InfeasibleAmplitudeError,
     InfeasibleTargetError,
+    NoFeasibleTimeError,
     NotGateSpec,
     PhaseGateSpec,
     PrepareSpec,
@@ -144,3 +145,61 @@ def test_synthesize_gate_near_the_edges_returns_or_says_why(chi, mu, inside, pas
         synthesize_gate(spec, SystemParams(delta=REF_DELTA), AnsatzSpec(n_samples=16))
     except (InfeasibleTargetError, InfeasibleAmplitudeError, DegeneratePhaseError, ValueError):
         pass
+
+
+# ------------------------------------------ the operation-time window edges
+
+TWO_PI = 2.0 * math.pi
+# a phase gap within 1e-12 and 1e-10 of 0 and of a whole turn
+GAP = st.builds(
+    lambda turn, near: turn + near,
+    st.sampled_from([0.0, TWO_PI, -TWO_PI]),
+    st.one_of(st.floats(-1e-12, 1e-12), st.floats(-1e-10, 1e-10), st.floats(0.0, TWO_PI)),
+)
+
+
+@st.composite
+def operation_windows(draw):
+    """(zeta, lam, delta, t_min, t_max) with t_min on or next to a whole
+    Zeeman period past the free answer, and t_max at the answer or an ulp
+    below it."""
+    delta = 10.0 ** draw(st.floats(-3.0, 20.0))
+    lam = draw(st.sampled_from([0.0]) | st.floats(-10.0, 10.0))
+    zeta = lam + draw(GAP)
+    period = TWO_PI / delta
+    periods = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 10**6) | st.integers(0, 10**15))
+    base = draw(st.sampled_from([0.0, ((zeta - lam) % TWO_PI) / delta]))
+    t_min = base + periods * period
+    t_min = draw(st.sampled_from([
+        t_min, math.nextafter(t_min, math.inf), math.nextafter(t_min, -math.inf),
+        t_min * (1.0 + 1e-12), t_min * (1.0 - 1e-12), t_min + 1e-12 * period, t_min - 1e-12 * period,
+    ]))
+    t_min = max(t_min, 0.0)
+    try:
+        free = operation_time(zeta, lam, delta, t_min=t_min)
+    except NoFeasibleTimeError:
+        return zeta, lam, delta, t_min, None
+    t_max = draw(st.sampled_from([None, free, math.nextafter(free, -math.inf), 2.0 * free]))
+    return zeta, lam, delta, t_min, t_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(operation_windows())
+def test_operation_time_is_the_least_window_time_on_the_phase(window):
+    zeta, lam, delta, t_min, t_max = window
+    try:
+        T = operation_time(zeta, lam, delta, t_min=t_min, t_max=t_max)
+    except NoFeasibleTimeError:
+        # past the float range, or an answer past t_max
+        assert t_max is None or operation_time(zeta, lam, delta, t_min=t_min) > t_max
+        return
+    period = TWO_PI / delta
+    gap = zeta - lam
+    assert math.isfinite(T) and T > 0.0
+    assert t_max is None or T <= t_max
+    assert abs(math.remainder(delta * T - gap, TWO_PI)) <= 1e-12 + 4e-16 * (delta * T + abs(gap))
+    # t_min is met to 1e-12 of a period plus the rounding of the period count,
+    # and no whole period could come off while T stayed clearly past it
+    slack = 1e-12 * period + 4e-16 * t_min
+    assert T >= t_min - slack
+    assert T - period <= t_min + slack
