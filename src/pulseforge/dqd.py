@@ -164,16 +164,21 @@ def check_normalized(state: np.ndarray) -> np.ndarray:
     return psi
 
 
-def hamiltonian(tau, alpha, delta: float) -> np.ndarray:
+def hamiltonian(tau, alpha, delta: float, out: np.ndarray | None = None) -> np.ndarray:
     """Laboratory-frame Hamiltonian for (tau, alpha) controls, shape (..., 4, 4).
 
     Zeros on diagonal entries 1, 2 and delta on 3, 4; tau on the 1-2 and 3-4
     links; alpha on 1-3 and -alpha on 2-4, conjugated below the diagonal.
-    Broadcasts over the leading axes of ``tau`` and ``alpha``.
+    Broadcasts over the leading axes of ``tau`` and ``alpha``; written into
+    ``out``, a complex array of that shape, when it is given.
     """
     tau = np.asarray(tau, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
-    h = np.zeros(np.broadcast_shapes(tau.shape, alpha.shape) + (4, 4), dtype=complex)
+    if out is None:
+        h = np.zeros(np.broadcast_shapes(tau.shape, alpha.shape) + (4, 4), dtype=complex)
+    else:
+        h = out
+        h[...] = 0.0
     h[..., 0, 1] = h[..., 1, 0] = h[..., 2, 3] = h[..., 3, 2] = tau
     h[..., 0, 2] = alpha
     h[..., 2, 0] = np.conj(alpha)

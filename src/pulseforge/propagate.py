@@ -29,11 +29,19 @@ arithmetic in a fixed order, so repeated runs on one platform are
 bit-identical.  The state norm is monitored at every step but never
 renormalized; renormalizing would mask integrator faults.
 
-:func:`compare_analytic` is the one place a schedule without drive-angle
-metadata is refused: it raises
-:class:`~pulseforge.errors.UnsupportedComparisonError` naming the
-theta/gamma_final headers, and ``verify`` relies on it.  The closed form
-reads the schedule's one resolved ramp (``ControlSchedule.angles()``).
+Each integration allocates its buffers once (the Hamiltonian stack, the
+step matrices, and the RK4 stages, whose memory the scan reuses) and every
+block writes into them with ``out=``, in the same operation order as fresh
+arrays would get.  Without that, the allocator may hand a block's
+temporaries back to the system and fault them in again for the next block.
+
+:func:`compare_analytic` is the one place a schedule without a usable
+drive-angle ramp is refused: it raises
+:class:`~pulseforge.errors.UnsupportedComparisonError` with the reason
+``ControlSchedule.ramp_refusal`` gives (missing theta/gamma_final headers,
+an unknown family, a sampled ansatz without knots, or a slope scale past
+the float range), and ``verify`` relies on it.  The closed form reads the
+schedule's one resolved ramp (``ControlSchedule.angles()``).
 """
 
 from __future__ import annotations
@@ -114,54 +122,111 @@ class FidelityTrace:
     fidelity: np.ndarray
 
 
-def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float) -> np.ndarray:
-    """-i H at each time, stacked; vectorized over the leading axis."""
-    return -1j * hamiltonian(tau, alpha, delta)
+def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """-i H at each time, stacked; vectorized over the leading axis, and
+    written into ``out`` (shape (..., 4, 4)) when it is given."""
+    h = hamiltonian(tau, alpha, delta, out)
+    return np.multiply(-1j, h, out=h)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 4x4 products, entries first: ``a`` is (4, 4, ...), ``b`` is (4, k, ...)."""
-    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2] + a[:, 3, None] * b[3]
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Batched 4x4 products, entries first: ``a`` is (4, 4, ...), ``b`` is (4, k, ...).
+
+    Written into ``out``, with ``tmp`` of the same shape as scratch, when
+    they are given; neither may share memory with ``a`` or ``b``.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a[:, 0, None].shape, b[0].shape), dtype=np.result_type(a, b))
+        tmp = np.empty_like(out)
+    np.multiply(a[:, 0, None], b[0], out=out)
+    for j in (1, 2, 3):
+        out += np.multiply(a[:, j, None], b[j], out=tmp)
+    return out
 
 
-def _transfer_matrices(a: np.ndarray, h: float) -> np.ndarray:
+class _Workspace:
+    """Buffers of one integration, rewritten by every block.
+
+    Sized for a full block of ``n_steps`` steps with ``k`` probes; a shorter
+    last block takes leading slices.  Allocated once, they are not freed and
+    faulted in again block after block; the scan reuses the RK4 stages'
+    memory, so the integration holds about one block's temporaries.
+    """
+
+    def __init__(self, n_steps: int, k: int):
+        m = min(n_steps, TRANSFER_BLOCK)
+        n_chunks = -(-m // SCAN_CHUNK)
+        width = n_chunks * SCAN_CHUNK
+        # -i H at the block's nodes and midpoints, entries first
+        self.generators = np.empty((4, 4, 2 * m + 1), dtype=complex)
+        # step matrices, padded with identities to whole chunks
+        self.steps = np.empty((4, 4, width), dtype=complex)
+        # the RK4 stages are dead once the step matrices are built, so the
+        # scan's running products and states take the same memory
+        scratch = np.empty(max(3 * 16 * m, 16 * width + 2 * 4 * k * width), dtype=complex)
+        self.stages = scratch[:3 * 16 * m].reshape(3, 4, 4, m)
+        # position in the chunk first, so that each position's products are
+        # written contiguously
+        self.runs = scratch[:16 * width].reshape(4, 4, SCAN_CHUNK, n_chunks)
+        self.scan = scratch[16 * width:16 * width + 8 * k * width].reshape(2, 4, k, SCAN_CHUNK, n_chunks)
+        self.run_tmp = np.empty((4, 4, n_chunks), dtype=complex)
+        self.chunk_steps = np.empty((n_chunks, 4, 4), dtype=complex)
+        self.entry = np.empty((n_chunks, 4, k), dtype=complex)
+
+
+def _transfer_matrices(a: np.ndarray, h: float, out: np.ndarray, stages: np.ndarray) -> np.ndarray:
     """RK4 step matrices from -i H at the node and midpoint times they span.
 
     ``a`` holds 2m + 1 matrices entries first, shape (4, 4, 2m + 1), in the
-    order node, midpoint, node, ...; the result holds the m matrices ``M``
-    with ``psi_{i+1} = M_i psi_i``, shape (4, 4, m).
+    order node, midpoint, node, ...; the m matrices ``M`` with
+    ``psi_{i+1} = M_i psi_i`` are written into ``out``, shape (4, 4, m),
+    which is also the products' scratch until then.  ``stages`` is scratch,
+    shape (3, 4, 4, m).
     """
     k1 = a[..., 0:-1:2]
     a2 = a[..., 1::2]
     a3 = a[..., 2::2]
-    k2 = _product(a2, _EYE + (0.5 * h) * k1)
-    k3 = _product(a2, _EYE + (0.5 * h) * k2)
-    k4 = _product(a3, _EYE + h * k3)
-    return _EYE + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    x, k2, k3 = stages
+    k2 = _product(a2, np.add(_EYE, np.multiply(0.5 * h, k1, out=x), out=x), k2, out)
+    k3 = _product(a2, np.add(_EYE, np.multiply(0.5 * h, k2, out=x), out=x), k3, out)
+    np.add(_EYE, np.multiply(h, k3, out=x), out=x)
+    # _EYE + (h / 6) * (k1 + 2 * (k2 + k3) + k4), in that order; k4 takes k3's place
+    s = np.add(k2, k3, out=k2)
+    k4 = _product(a3, x, k3, out)
+    s = np.multiply(2.0, s, out=s)
+    s = np.add(np.add(k1, s, out=s), k4, out=s)
+    return np.add(_EYE, np.multiply(h / 6.0, s, out=s), out=out)
 
 
-def _block_states(steps: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """States after each of a block's steps by the two-level scan, (m, 4, k).
+def _block_states(steps: np.ndarray, psi: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
+    """States after each of a block's steps by the two-level scan, into ``out``.
 
-    ``steps`` holds the block's m step matrices, (4, 4, m); ``psi`` is the
-    state stack before the block, (4, k).
+    ``steps`` holds the block's m step matrices padded with identities to
+    whole chunks, (4, 4, c * SCAN_CHUNK); ``psi`` is the state stack before
+    the block, (4, k); ``out`` takes the state stack after each of the m
+    steps, (m, 4, k), and the padding steps' states are dropped.
     """
-    m = steps.shape[-1]
-    n_chunks = -(-m // SCAN_CHUNK)
-    # identity steps pad the block to whole chunks; their states are dropped
-    runs = np.empty((4, 4, n_chunks * SCAN_CHUNK), dtype=complex)
-    runs[..., :m] = steps
-    runs[..., m:] = _EYE
-    runs = runs.reshape(4, 4, n_chunks, SCAN_CHUNK)
+    n_chunks = steps.shape[-1] // SCAN_CHUNK
+    steps = steps.reshape(4, 4, n_chunks, SCAN_CHUNK)
+    runs = ws.runs[..., :n_chunks]
+    tmp = ws.run_tmp[..., :n_chunks]
+    runs[:, :, 0] = steps[..., 0]
     for j in range(1, SCAN_CHUNK):
-        runs[..., j] = _product(runs[..., j], runs[..., j - 1])
-    chunk_steps = np.ascontiguousarray(runs[..., -1].transpose(2, 0, 1))
-    entry = np.empty((n_chunks,) + psi.shape, dtype=complex)
+        _product(steps[..., j], runs[:, :, j - 1], runs[:, :, j], tmp)
+    chunk_steps = ws.chunk_steps[:n_chunks]
+    np.copyto(chunk_steps, runs[:, :, -1].transpose(2, 0, 1))
+    entry = ws.entry[:n_chunks]
     entry[0] = psi
     for c in range(n_chunks - 1):
         np.dot(chunk_steps[c], entry[c], out=entry[c + 1])
-    states = _product(runs, entry.transpose(1, 2, 0)[..., None])
-    return states.transpose(2, 3, 0, 1).reshape(-1, *psi.shape)[:m]
+    scan, tmp = ws.scan[..., :n_chunks]
+    _product(runs, entry.transpose(1, 2, 0)[:, :, None], scan, tmp)
+    # the state after step SCAN_CHUNK * c + j is chunk_states[c, j]
+    chunk_states = scan.transpose(3, 2, 0, 1)
+    full, rest = divmod(out.shape[0], SCAN_CHUNK)
+    np.copyto(out[:full * SCAN_CHUNK].reshape(full, SCAN_CHUNK, *psi.shape), chunk_states[:full])
+    if rest:
+        np.copyto(out[full * SCAN_CHUNK:], chunk_states[full, :rest])
 
 
 def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -185,6 +250,7 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
 
     n = grid.n_steps
     h = grid.t_end / n
+    ws = _Workspace(n, psi.shape[1])
     states = np.empty((n + 1,) + psi.shape, dtype=complex)
     states[0] = psi
     # a step matrix too large for RK4 overflows to inf and nan; the drift
@@ -192,11 +258,14 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, TRANSFER_BLOCK):
             stop = min(start + TRANSFER_BLOCK, n)
+            m = stop - start
+            width = -(-m // SCAN_CHUNK) * SCAN_CHUNK
             nodes = slice(2 * start, 2 * stop + 1)
-            a = np.ascontiguousarray(
-                _hamiltonian_stack(tau[nodes], alpha[nodes], schedule.params.delta).transpose(1, 2, 0)
-            )
-            states[start + 1:stop + 1] = _block_states(_transfer_matrices(a, h), states[start])
+            a = ws.generators[..., :2 * m + 1]
+            _hamiltonian_stack(tau[nodes], alpha[nodes], schedule.params.delta, a.transpose(2, 0, 1))
+            _transfer_matrices(a, h, ws.steps[..., :m], ws.stages[..., :m])
+            ws.steps[..., m:width] = _EYE
+            _block_states(ws.steps[..., :width], states[start], states[start + 1:stop + 1], ws)
         drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(
@@ -263,9 +332,7 @@ def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid
     :class:`~pulseforge.errors.UnsupportedComparisonError` otherwise.
     """
     if schedule.angles() is None:
-        raise UnsupportedComparisonError(
-            "schedule lacks drive-angle metadata (theta/gamma_final headers); cannot verify"
-        )
+        raise UnsupportedComparisonError(f"{schedule.ramp_refusal}; cannot verify")
     if grid is None:
         grid = TimeGrid(schedule.T)
     probes = np.stack([check_normalized(p) for p in np.reshape(psi0, (-1, 4))], axis=1)

@@ -25,6 +25,16 @@ A :class:`ControlSchedule` resolves its drive-angle ramp once, through one
 :class:`AnsatzSpec` built from its metadata; the closed form, the sample
 check and :meth:`ControlSchedule.controls_at` all read that one object, and
 :meth:`AnsatzSpec.gamma_fn` is the only place a ramp family is chosen.
+
+The "sampled" ramp is the clamped cubic spline through the profile knots,
+computed here with numpy alone: the knot slopes come from a port of LAPACK
+``dgtsv`` (the tridiagonal solve with row interchanges that scipy's
+``CubicSpline`` runs through ``solve_banded``), the coefficients from
+scipy's ``CubicHermiteSpline`` formulas, and an evaluation finds each
+point's interval with ``np.searchsorted`` and sums ascending powers from
+0.0 as scipy's ``PPoly`` does.  The values and slopes are bit-equal to
+``CubicSpline(s, g, bc_type=((1, 0.0), (1, 0.0)))`` and its derivative, and
+no command loads scipy.
 """
 
 from __future__ import annotations
@@ -101,7 +111,8 @@ class AnsatzSpec:
 
     ``profile`` is only used by the "sampled" family: a pair of arrays
     (s, gamma) on the normalized time axis s in [0, 1], interpolated by a
-    clamped cubic spline so the end slopes are exactly zero.
+    clamped cubic spline (:func:`_clamped_spline`) so the end slopes are
+    zero.
     """
 
     gamma_final: float = 0.5 * math.pi
@@ -150,21 +161,70 @@ class AnsatzSpec:
                 return gamma_ansatz(t, duration, gamma_final)
 
             return fn
-        from scipy.interpolate import CubicSpline
-
         s, g = self.profile
-        spline = CubicSpline(s, g, bc_type=((1, 0.0), (1, 0.0)))
-        deriv = spline.derivative()
+        p0, p1, p2, p3 = _clamped_spline(s, g)
+        # the derivative's coefficients, as scipy's PPoly.derivative scales them
+        q2, q3 = 2.0 * p2, 3.0 * p3
+        inner = s[1:-1]
 
         def fn(t):
             x = np.asarray(t, dtype=float) / duration
-            gamma = spline(x)
-            gamma_dot = deriv(x) / duration
+            # interval i holds s[i] <= x < s[i + 1]; x = 1 falls in the last one
+            i = np.searchsorted(inner, x, side="right")
+            h = x - s[i]
+            h2 = h * h
+            # ascending powers summed from 0.0, as scipy's PPoly does
+            gamma = 0.0 + p0[i] + p1[i] * h + p2[i] * h2 + p3[i] * (h2 * h)
+            gamma_dot = (0.0 + p1[i] + q2[i] * h + q3[i] * h2) / duration
             if np.ndim(t) == 0:
                 return float(gamma), float(gamma_dot)
             return gamma, gamma_dot
 
         return fn
+
+
+def _clamped_spline(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients of the cubic spline through the knots (s, g) with zero
+    slope at both ends: row k, shape (n - 1,), multiplies (s - s_i)^k on
+    interval i.
+
+    The knot slopes solve scipy's tridiagonal system by a port of LAPACK
+    ``dgtsv`` (Gaussian elimination with row interchanges), and the
+    coefficients follow scipy's ``CubicHermiteSpline``.
+    """
+    n = s.size
+    dx = np.diff(s)
+    slope = np.diff(g) / dx
+    # sub-, main and super-diagonal, and right-hand side; the end rows pin
+    # the end slopes to zero
+    dl = [*dx[1:].tolist(), 0.0]
+    d = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
+    du = [0.0, *dx[:-1].tolist()]
+    b = [0.0, *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(), 0.0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1; dl[i] then holds the second
+            # superdiagonal the interchange fills in
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    m = np.array(b)
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return np.stack((g[:-1], m[:-1], (slope - m[:-1]) / dx - t, t / dx))
 
 
 @dataclass(frozen=True)
@@ -364,18 +424,30 @@ class ControlSchedule:
         return int(self.times.size)
 
     @cached_property
-    def _angles(self) -> DiamondAngles | None:
-        """The one ramp every reader shares, built once; None without
-        theta/gamma_final, a positive span, a known family or its knots, or
-        with a slope scale past the float range."""
+    def ramp_refusal(self) -> str | None:
+        """Why the metadata builds no drive-angle ramp, or None when it does."""
         m = self.meta
-        if m.theta is None or m.gamma_final is None or self.T <= 0.0:
-            return None
-        if m.ansatz not in ANSATZ_FAMILIES or (m.ansatz == "sampled" and m.profile is None):
-            return None
+        if m.theta is None or m.gamma_final is None:
+            return "schedule lacks drive-angle metadata (theta/gamma_final headers)"
+        why = None
+        if self.T <= 0.0:
+            why = f"T = {self.T!r} s is not a positive span"
+        elif m.ansatz not in ANSATZ_FAMILIES:
+            why = f"ansatz family {m.ansatz!r} is unknown"
+        elif m.ansatz == "sampled" and m.profile is None:
+            why = "the sampled ansatz has no profile knots (profile_s/profile_gamma headers)"
         # gamma_ansatz's slope scale: an infinite one makes its flat ends inf * 0
-        if math.isinf(0.5 * m.gamma_final * (math.pi / self.T)):
+        elif math.isinf(0.5 * m.gamma_final * (math.pi / self.T)):
+            why = f"gamma_final = {m.gamma_final!r} over T = {self.T!r} s puts the ramp's slope past the float range"
+        return None if why is None else f"schedule lacks drive-angle metadata that builds a ramp: {why}"
+
+    @cached_property
+    def _angles(self) -> DiamondAngles | None:
+        """The one ramp every reader shares, built once; None when
+        :attr:`ramp_refusal` names a reason."""
+        if self.ramp_refusal is not None:
             return None
+        m = self.meta
         ramp = AnsatzSpec(m.gamma_final, family=m.ansatz, profile=m.profile)
         return DiamondAngles(gamma=ramp.gamma_fn(self.T), theta=m.theta)
 

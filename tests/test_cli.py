@@ -602,6 +602,39 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+# knots whose elimination swaps rows (2 (dx0 + dx1) < dx2)
+SAMPLED_ANSATZ = {"family": "sampled", "profile": {"s": [0.0, 0.01, 0.02, 0.5, 1.0],
+                                                   "gamma": [0.0, 0.001, 0.004, 0.8, 0.5 * math.pi]}}
+
+
+def _scipy_free_argv(command, tmp_path):
+    if command in ("gate", "chain"):
+        stages = [{**NOT_STAGE, "ansatz": SAMPLED_ANSATZ}]
+        if command == "chain":
+            stages = [PREPARE_STAGE, {"gate": "not", "ansatz": SAMPLED_ANSATZ}]
+        plan = write_plan(tmp_path, {"system": {"delta_rad_per_s": REF_DELTA}, "stages": stages,
+                                     "io": {"out_dir": str(tmp_path / "out")}})
+        return [command, "--plan", plan]
+    assert main(["gate", "--plan", _stage_plan(tmp_path, {**NOT_STAGE, "ansatz": SAMPLED_ANSATZ})]) == 0
+    argv = [command, "--schedule", str(tmp_path / "out" / "stage01_not.csv")]
+    return argv + (["--out", str(tmp_path / "sim")] if command == "simulate" else [])
+
+
+@pytest.mark.parametrize("command", ["gate", "chain", "verify", "simulate"])
+def test_sampled_ansatz_commands_do_not_load_scipy(tmp_path, command):
+    # the sampled ramp's spline is the package's own
+    src = str(Path(pulseforge.__file__).resolve().parents[1])
+    code = (
+        "import json, sys; from pulseforge.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_scipy_free_argv(command, tmp_path))],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_cli_import_does_not_load_orjson():
     # only the writers need it, and verify writes nothing
     src = str(Path(pulseforge.__file__).resolve().parents[1])
@@ -778,6 +811,21 @@ def test_verify_without_drive_angle_headers_names_them(tmp_path, capsys):
     assert "theta/gamma_final headers" in capsys.readouterr().err
     with pytest.raises(pulseforge.UnsupportedComparisonError, match="theta/gamma_final headers"):
         pulseforge.compare_analytic(read_schedule(sched), pulseforge.basis_state(1))
+
+
+def test_verify_names_a_ramp_slope_past_the_float_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 0
+    lines = (out / "stage01_not.csv").read_text().splitlines()
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join("# gamma_final=1e300" if line.startswith("# gamma_final=") else line
+                                 for line in lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--schedule", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma_final = 1e+300 over T = 5e-10 s puts the ramp's slope past the float range" in err
+    # the samples themselves are fine; simulate integrates them
+    assert main(["simulate", "--schedule", str(edited), "--steps", "200", "--out", str(tmp_path / "sim")]) == 0
 
 
 @pytest.mark.parametrize("target", [{"b2": 1e300, "b3": 0.8}, {"b2": 0.6, "b3": {"abs": 1e300, "phase": 0}}])

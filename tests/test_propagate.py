@@ -22,7 +22,7 @@ from pulseforge import (
     synthesize_preparation,
 )
 from pulseforge.dqd import propagator_matrix
-from pulseforge.propagate import DEFAULT_N_STEPS, SCAN_CHUNK, TRANSFER_BLOCK, _hamiltonian_stack
+from pulseforge.propagate import DEFAULT_N_STEPS, SCAN_CHUNK, TRANSFER_BLOCK, _hamiltonian_stack, _integrate_columns
 from conftest import random_unit_state
 
 
@@ -206,6 +206,22 @@ def test_compare_requires_angle_metadata(ref_prep_schedule, ref_params):
         compare_analytic(stripped, basis_state(1))
 
 
+@pytest.mark.parametrize(
+    "meta, reason",
+    [
+        (ScheduleMeta(theta=0.3, gamma_final=0.5 * math.pi, ansatz="gaussian"), "ansatz family 'gaussian' is unknown"),
+        (ScheduleMeta(theta=0.3, gamma_final=0.5 * math.pi, ansatz="sampled"), "sampled ansatz has no profile knots"),
+    ],
+)
+def test_compare_names_why_the_ramp_cannot_be_built(ref_prep_schedule, ref_params, meta, reason):
+    sched = ControlSchedule(
+        params=ref_params, times=ref_prep_schedule.times, tau=ref_prep_schedule.tau,
+        alpha=ref_prep_schedule.alpha, meta=meta,
+    )
+    with pytest.raises(UnsupportedComparisonError, match=reason):
+        compare_analytic(sched, basis_state(1))
+
+
 def test_grid_must_stay_within_schedule(ref_prep_schedule):
     with pytest.raises(ValueError):
         integrate(ref_prep_schedule, basis_state(1), TimeGrid(ref_prep_schedule.T * 2, 100))
@@ -370,3 +386,21 @@ def test_overflowing_steps_raise_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="drifted by nan"):
             integrate(wild, basis_state(1), TimeGrid(wild.T, 8))
+
+
+@pytest.mark.parametrize("probes_b", [1, 4])
+@pytest.mark.parametrize("steps_b", [511, 513, 1025])
+def test_integration_buffers_do_not_leak_between_calls(steps_b, probes_b, ref_prep_schedule, ref_params):
+    # A, then B at another step and probe count, then A again: A's states
+    # must not depend on what an earlier integration left behind
+    sched_a = ref_prep_schedule
+    sched_b = _sampled_prep_schedule(ref_params)
+    probes = verify_probes().T.copy()
+    grid_a = TimeGrid(sched_a.T, 1000)
+    first = _integrate_columns(sched_a, probes, grid_a)
+    _integrate_columns(sched_b, probes[:, :probes_b].copy(), TimeGrid(sched_b.T, steps_b))
+    again = _integrate_columns(sched_a, probes, grid_a)
+    assert first.tobytes() == again.tobytes()
+    # nor on the block before: the last block of 1000 steps is a partial one
+    for k in range(probes.shape[1]):
+        assert np.max(np.abs(first[:, :, k] - loop_rk4(sched_a, probes[:, k], grid_a))) <= 1e-12

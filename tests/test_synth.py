@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pulseforge import (
     AnsatzSpec,
@@ -541,3 +543,53 @@ def test_huge_transport_lambda_is_reduced_as_the_target_reads_it():
         assert TransportSpec(chi=0.6, mu=0.4, a=0.8, b=0.6, lam=lam).lam == lam
     with pytest.raises(ValueError, match="lambda must be finite"):
         TransportSpec(chi=0.6, mu=0.4, a=0.8, b=0.6, lam=math.inf)
+
+
+# ------------------------------------------- the sampled ramp's spline
+
+
+@st.composite
+def _knots(draw):
+    """Knots s, 4 to 12 of them from 0 to 1, with gaps over six decades, so
+    that many layouts need row interchanges, and knot values g from 0 to
+    gamma_final."""
+    n = draw(st.integers(4, 12))
+    gaps = np.array(draw(st.lists(st.floats(-6.0, 0.0), min_size=n - 1, max_size=n - 1)))
+    s = np.concatenate(([0.0], np.cumsum(10.0 ** gaps)))
+    s = s / s[-1]
+    s[-1] = 1.0
+    assume(np.all(np.diff(s) > 0.0))
+    gamma_final = draw(st.sampled_from([0.5 * math.pi, 1.5 * math.pi, -0.5 * math.pi]))
+    inner = draw(st.lists(st.floats(-10.0, 10.0), min_size=n - 2, max_size=n - 2))
+    return s, np.array([0.0, *inner, gamma_final])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(knots=_knots(), duration=st.sampled_from([1.0, 2.0**-30, 1.3e-10]), xs=st.lists(st.floats(0.0, 1.0), max_size=20))
+# 2 (dx0 + dx1) < dx2: the elimination swaps rows at the second knot
+@example(knots=(np.array([0.0, 0.01, 0.02, 1.0]), np.array([0.0, 0.3, -0.2, 0.5 * math.pi])), duration=1.0, xs=[0.015])
+# a -0.0 knot whose higher terms are -0.0 there too: the sum from 0.0 reads +0.0
+@example(knots=(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([0.0, -0.0, -0.35, -0.66, 0.5 * math.pi])),
+         duration=1.0, xs=[])
+def test_sampled_ramp_is_scipy_clamped_spline_bit_for_bit(knots, duration, xs):
+    from scipy.interpolate import CubicSpline
+
+    s, g = knots
+    spline = CubicSpline(s, g, bc_type=((1, 0.0), (1, 0.0)))
+    deriv = spline.derivative()
+    fn = AnsatzSpec(g[-1], family="sampled", profile=(s, g)).gamma_fn(duration)
+    # random points, every knot, both ends
+    t = np.concatenate((np.array(xs), s, [0.0, 1.0])) * duration
+    gamma, gamma_dot = fn(t)
+    assert _bits(gamma) == _bits(spline(t / duration))
+    assert _bits(gamma_dot) == _bits(deriv(t / duration) / duration)
+    for tk in t:
+        g_k, gd_k = fn(float(tk))
+        assert isinstance(g_k, float) and isinstance(gd_k, float)
+        assert _bits(g_k) == _bits(spline(tk / duration))
+        assert _bits(gd_k) == _bits(deriv(tk / duration) / duration)
+    assert fn(0.0) == (0.0, 0.0)
