@@ -23,6 +23,11 @@ and theta the constant coupling mixing angle:
 i.e. the spin-flip drive is resonant with the Zeeman splitting delta.
 :func:`h0_matrix` and :func:`full_hamiltonian` are single-instant views of
 the two; :func:`analytic_propagator` is the closed-form U(t).
+
+The diamond Hamiltonian commutes with the swap S|1> = |2>, S|3> = -|4>, so
+in the constant basis ``SECTOR_BASIS`` of S's eigenvectors it is two 2x2
+blocks; :func:`sector_hamiltonian` writes them, and the RK4 integrator
+steps the two sectors instead of the 4x4 matrix.
 """
 
 from __future__ import annotations
@@ -186,6 +191,38 @@ def hamiltonian(tau, alpha, delta: float, out: np.ndarray | None = None) -> np.n
     h[..., 3, 1] = -np.conj(alpha)
     h[..., 2, 2] = h[..., 3, 3] = delta
     return h
+
+
+# Columns e1 = |1> + |2>, e2 = |3> - |4> (sector +) and f1 = |1> - |2>,
+# f2 = |3> + |4> (sector -).  The diamond Hamiltonian commutes with the
+# swap S|1> = |2>, S|3> = -|4>, whose eigenvectors these are, so in this
+# basis it is block-diagonal for every tau, alpha and delta.  The inverse
+# is SECTOR_BASIS.T / 2, exact in binary.
+SECTOR_BASIS = np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, -1, 0, 1]], dtype=float)
+
+
+def sector_hamiltonian(tau, alpha, delta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The two blocks of :func:`hamiltonian` in ``SECTOR_BASIS``, shape (..., 2, 2, 2).
+
+    Axes are sector (+, -), row, column:
+
+        H+ = [[ tau, alpha], [conj(alpha), delta - tau]]
+        H- = [[-tau, alpha], [conj(alpha), delta + tau]]
+
+    Broadcasts over the leading axes of ``tau`` and ``alpha``; written into
+    ``out``, a complex array of that shape, when it is given.
+    """
+    tau = np.asarray(tau, dtype=float)
+    alpha = np.asarray(alpha, dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(tau.shape, alpha.shape) + (2, 2, 2), dtype=complex)
+    out[..., 0, 0, 0] = tau
+    out[..., 1, 0, 0] = -tau
+    out[..., :, 0, 1] = alpha[..., None]
+    out[..., :, 1, 0] = np.conj(alpha)[..., None]
+    out[..., 0, 1, 1] = delta - tau
+    out[..., 1, 1, 1] = delta + tau
+    return out
 
 
 def drive_controls(gamma_dot, theta: float, delta: float, t):

@@ -54,9 +54,17 @@ class VerificationError(PulseforgeError):
 
 
 class IntegrationError(PulseforgeError):
-    """Numerical integration lost accuracy (norm drift beyond tolerance)."""
+    """Numerical integration lost accuracy (norm drift beyond tolerance).
+
+    ``drift`` is the largest |norm - 1| over every state when the drift is
+    the reason (nan when a state is not finite), and None otherwise.
+    """
 
     exit_code = 4
+
+    def __init__(self, message: str, drift: float | None = None):
+        super().__init__(message)
+        self.drift = drift
 
 
 class UnsupportedComparisonError(PulseforgeError):

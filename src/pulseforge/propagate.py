@@ -2,26 +2,36 @@
 time-dependent Schrodinger equation under a control schedule.
 
 This module never touches the closed-form propagator when it integrates;
-it builds the laboratory-frame Hamiltonian from the schedule's control
-values and steps the state with classical fourth-order Runge-Kutta.  That
-keeps it an honest cross-check of every synthesized pulse.
+it builds the laboratory-frame Hamiltonian, in its two sectors (below),
+from the schedule's control values and steps the state with classical
+fourth-order Runge-Kutta.  That keeps it an honest cross-check of every
+synthesized pulse.
 
-The equation is linear in the state, so each RK4 step is one 4x4 transfer
+The equation is linear in the state, so each RK4 step is one transfer
 matrix built from the Hamiltonian at the step's start, midpoint and end.
+The diamond Hamiltonian commutes with a fixed swap of the bare levels, so
+in the constant basis ``dqd.SECTOR_BASIS`` it is block-diagonal: two 2x2
+sectors (``dqd.sector_hamiltonian``).  The RK4 transfer matrix is a
+polynomial in the stage generators, so stepping the sector coordinates
+``c = SECTOR_BASIS^-1 psi`` is the same RK4 with the same truncation
+error, its rounding in a different order, at a quarter of the multiplies:
+every product is two 2x2 products instead of one 4x4.
+
 The matrices are built in fixed-size blocks of steps, entries first: a
-stack of m matrices is a (4, 4, m) array, and a batched product is four
-broadcast multiply-adds over the steps.  Inside a block the states come
-from a two-level scan.  The block is cut into chunks of SCAN_CHUNK steps;
-the running products within every chunk are formed together (one batched
-product per position in the chunk), each chunk's entry state is carried
-from the previous one by one 4x4 product, and a last batched product
-applies every running product to its chunk's entry state.  That is about
-one matrix product per step, like the step-by-step loop, with a handful
-of Python iterations per block instead of one per step; a full
-log-depth scan would cost n log n products.  Every state is still built,
-so the norm is checked at every step.  It is the same classical RK4 with
-its rounding in a different order.  A stack of initial states rides
-through the same pass, so checking several probe states costs one
+stack of m sector pairs is a (2, 2, 2, m) array (row, column, sector,
+step), and a batched product is two broadcast multiply-adds over the
+steps.  Inside a block the states come from a two-level scan.  The block
+is cut into chunks of SCAN_CHUNK steps; the running products within every
+chunk are formed together (one batched product per position in the
+chunk), each chunk's entry state is carried from the previous one by one
+product of the chunk's sector pair, and a last batched product applies
+every running product to its chunk's entry state.  That is about one
+matrix product per step, like the step-by-step loop, with a handful of
+Python iterations per block instead of one per step; a full log-depth
+scan would cost n log n products.  Each block then writes its states back
+in lab form, ``psi = SECTOR_BASIS c`` (sums and differences), so the norm
+is checked on the lab state at every step.  A stack of initial states
+rides through the same pass, so checking several probe states costs one
 integration.
 
 The integrator is deterministic: fixed step, no adaptivity, pure numpy
@@ -29,11 +39,11 @@ arithmetic in a fixed order, so repeated runs on one platform are
 bit-identical.  The state norm is monitored at every step but never
 renormalized; renormalizing would mask integrator faults.
 
-Each integration allocates its buffers once (the Hamiltonian stack, the
-step matrices, and the RK4 stages, whose memory the scan reuses) and every
-block writes into them with ``out=``, in the same operation order as fresh
-arrays would get.  Without that, the allocator may hand a block's
-temporaries back to the system and fault them in again for the next block.
+Each integration allocates its buffers once (the generator stack, the
+step matrices, and the RK4 stages, whose memory the scan and the lab
+states reuse) and every block writes into them with ``out=``.  Without
+that, the allocator may hand a block's temporaries back to the system and
+fault them in again for the next block.
 
 :func:`compare_analytic` is the one place a schedule without a usable
 drive-angle ramp is refused: it raises
@@ -52,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqd import check_normalized, hamiltonian, propagator_matrix
+from .dqd import SECTOR_BASIS, check_normalized, hamiltonian, propagator_matrix, sector_hamiltonian
 from .errors import IntegrationError, UnsupportedComparisonError
 from .synth import ControlSchedule
 
@@ -61,14 +71,16 @@ DEFAULT_N_STEPS = 4000
 NORM_DRIFT_LIMIT = 1e-6
 
 # steps whose transfer matrices are built at once; bounds the working set
-# (16 complex entries per step) whatever the grid size
+# (8 complex entries per step, two sectors' 2x2 matrices) whatever the grid size
 TRANSFER_BLOCK = 512
 
 # steps per chunk of the two-level scan: SCAN_CHUNK - 1 batched products
-# within the chunks, then one 4x4 product per chunk, per block
+# within the chunks, then one sector-pair product per chunk, per block
 SCAN_CHUNK = 16
 
 _EYE = np.eye(4).reshape(4, 4, 1)
+# both sectors' identity, entries first
+_EYE2 = np.eye(2).reshape(2, 2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float, out: np
 
 
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """Batched 4x4 products, entries first: ``a`` is (4, 4, ...), ``b`` is (4, k, ...).
+    """Batched matrix products, entries first: ``a`` is (r, n, ...), ``b`` is (n, k, ...).
 
     Written into ``out``, with ``tmp`` of the same shape as scratch, when
     they are given; neither may share memory with ``a`` or ``b``.
@@ -139,7 +151,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: n
         out = np.empty(np.broadcast_shapes(a[:, 0, None].shape, b[0].shape), dtype=np.result_type(a, b))
         tmp = np.empty_like(out)
     np.multiply(a[:, 0, None], b[0], out=out)
-    for j in (1, 2, 3):
+    for j in range(1, a.shape[1]):
         out += np.multiply(a[:, j, None], b[j], out=tmp)
     return out
 
@@ -150,81 +162,101 @@ class _Workspace:
     Sized for a full block of ``n_steps`` steps with ``k`` probes; a shorter
     last block takes leading slices.  Allocated once, they are not freed and
     faulted in again block after block; the scan reuses the RK4 stages'
-    memory, so the integration holds about one block's temporaries.
+    memory, so the integration holds about one block's temporaries.  Every
+    matrix stack is (row, column, sector, ...), every state stack (row,
+    probe, sector, ...).
     """
 
     def __init__(self, n_steps: int, k: int):
         m = min(n_steps, TRANSFER_BLOCK)
         n_chunks = -(-m // SCAN_CHUNK)
         width = n_chunks * SCAN_CHUNK
-        # -i H at the block's nodes and midpoints, entries first
-        self.generators = np.empty((4, 4, 2 * m + 1), dtype=complex)
+        # -i H in both sectors at the block's nodes and midpoints
+        self.generators = np.empty((2, 2, 2, 2 * m + 1), dtype=complex)
         # step matrices, padded with identities to whole chunks
-        self.steps = np.empty((4, 4, width), dtype=complex)
+        self.steps = np.empty((2, 2, 2, width), dtype=complex)
         # the RK4 stages are dead once the step matrices are built, so the
         # scan's running products and states take the same memory
-        scratch = np.empty(max(3 * 16 * m, 16 * width + 2 * 4 * k * width), dtype=complex)
-        self.stages = scratch[:3 * 16 * m].reshape(3, 4, 4, m)
-        # position in the chunk first, so that each position's products are
-        # written contiguously
-        self.runs = scratch[:16 * width].reshape(4, 4, SCAN_CHUNK, n_chunks)
-        self.scan = scratch[16 * width:16 * width + 8 * k * width].reshape(2, 4, k, SCAN_CHUNK, n_chunks)
-        self.run_tmp = np.empty((4, 4, n_chunks), dtype=complex)
-        self.chunk_steps = np.empty((n_chunks, 4, 4), dtype=complex)
-        self.entry = np.empty((n_chunks, 4, k), dtype=complex)
+        scratch = np.empty(max(3 * 8 * m, 8 * width + 2 * 4 * k * width), dtype=complex)
+        self.stages = scratch[:3 * 8 * m].reshape(3, 2, 2, 2, m)
+        # (..., position in the chunk, chunk), so that each position's
+        # products are written contiguously
+        self.runs = scratch[:8 * width].reshape(2, 2, 2, SCAN_CHUNK, n_chunks)
+        self.scan = scratch[8 * width:8 * width + 8 * k * width].reshape(2, 2, k, 2, SCAN_CHUNK, n_chunks)
+        # the lab states take the scan's scratch once its product is formed
+        self.lab = scratch[8 * width + 4 * k * width:8 * width + 8 * k * width].reshape(4, k, SCAN_CHUNK, n_chunks)
+        self.run_tmp = np.empty((2, 2, 2, n_chunks), dtype=complex)
+        # per chunk, sector first for matmul, its step (chunk, sector, row,
+        # column) and the sector coordinates entering it (chunk, sector,
+        # row, probe); entry[0] carries the state from block to block
+        self.chunk_steps = np.empty((n_chunks, 2, 2, 2), dtype=complex)
+        self.entry = np.empty((n_chunks, 2, 2, k), dtype=complex)
 
 
 def _transfer_matrices(a: np.ndarray, h: float, out: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """RK4 step matrices from -i H at the node and midpoint times they span.
+    """RK4 step matrices of both sectors from -i H at the node and midpoint times they span.
 
-    ``a`` holds 2m + 1 matrices entries first, shape (4, 4, 2m + 1), in the
-    order node, midpoint, node, ...; the m matrices ``M`` with
-    ``psi_{i+1} = M_i psi_i`` are written into ``out``, shape (4, 4, m),
-    which is also the products' scratch until then.  ``stages`` is scratch,
-    shape (3, 4, 4, m).
+    ``a`` holds 2m + 1 matrix pairs, shape (2, 2, 2, 2m + 1), in the order
+    node, midpoint, node, ...; the m pairs ``M`` with ``c_{i+1} = M_i c_i``
+    are written into ``out``, shape (2, 2, 2, m), which is also the
+    products' scratch until then.  ``stages`` is scratch, shape
+    (3, 2, 2, 2, m).
     """
     k1 = a[..., 0:-1:2]
     a2 = a[..., 1::2]
     a3 = a[..., 2::2]
     x, k2, k3 = stages
-    k2 = _product(a2, np.add(_EYE, np.multiply(0.5 * h, k1, out=x), out=x), k2, out)
-    k3 = _product(a2, np.add(_EYE, np.multiply(0.5 * h, k2, out=x), out=x), k3, out)
-    np.add(_EYE, np.multiply(h, k3, out=x), out=x)
-    # _EYE + (h / 6) * (k1 + 2 * (k2 + k3) + k4), in that order; k4 takes k3's place
+    k2 = _product(a2, np.add(_EYE2, np.multiply(0.5 * h, k1, out=x), out=x), k2, out)
+    k3 = _product(a2, np.add(_EYE2, np.multiply(0.5 * h, k2, out=x), out=x), k3, out)
+    np.add(_EYE2, np.multiply(h, k3, out=x), out=x)
+    # _EYE2 + (h / 6) * (k1 + 2 * (k2 + k3) + k4), in that order; k4 takes k3's place
     s = np.add(k2, k3, out=k2)
     k4 = _product(a3, x, k3, out)
     s = np.multiply(2.0, s, out=s)
     s = np.add(np.add(k1, s, out=s), k4, out=s)
-    return np.add(_EYE, np.multiply(h / 6.0, s, out=s), out=out)
+    return np.add(_EYE2, np.multiply(h / 6.0, s, out=s), out=out)
 
 
-def _block_states(steps: np.ndarray, psi: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
+def _to_lab(c: np.ndarray, out: np.ndarray) -> None:
+    """Lab states ``SECTOR_BASIS @ c`` into ``out``, (4, k, ...), from
+    sector coordinates ``c``, (row, k, sector, ...)."""
+    np.add(c[:, :, 0], c[:, :, 1], out=out[0::2])
+    np.subtract(c[0, :, 0], c[0, :, 1], out=out[1])
+    np.subtract(c[1, :, 1], c[1, :, 0], out=out[3])
+
+
+def _block_states(steps: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
     """States after each of a block's steps by the two-level scan, into ``out``.
 
-    ``steps`` holds the block's m step matrices padded with identities to
-    whole chunks, (4, 4, c * SCAN_CHUNK); ``psi`` is the state stack before
-    the block, (4, k); ``out`` takes the state stack after each of the m
-    steps, (m, 4, k), and the padding steps' states are dropped.
+    ``steps`` holds the block's m step matrix pairs padded with identities
+    to whole chunks, (2, 2, 2, c * SCAN_CHUNK); the sector coordinates
+    before the block are ``ws.entry[0]``, and those after it are left
+    there.  ``out`` takes the lab state stack after each of the m steps,
+    (m, 4, k), and the padding steps' states are dropped.
     """
     n_chunks = steps.shape[-1] // SCAN_CHUNK
-    steps = steps.reshape(4, 4, n_chunks, SCAN_CHUNK)
+    steps = steps.reshape(2, 2, 2, n_chunks, SCAN_CHUNK)
     runs = ws.runs[..., :n_chunks]
     tmp = ws.run_tmp[..., :n_chunks]
-    runs[:, :, 0] = steps[..., 0]
+    runs[..., 0, :] = steps[..., 0]
     for j in range(1, SCAN_CHUNK):
-        _product(steps[..., j], runs[:, :, j - 1], runs[:, :, j], tmp)
+        _product(steps[..., j], runs[..., j - 1, :], runs[..., j, :], tmp)
     chunk_steps = ws.chunk_steps[:n_chunks]
-    np.copyto(chunk_steps, runs[:, :, -1].transpose(2, 0, 1))
+    np.copyto(chunk_steps, runs[..., -1, :].transpose(3, 2, 0, 1))
     entry = ws.entry[:n_chunks]
-    entry[0] = psi
     for c in range(n_chunks - 1):
-        np.dot(chunk_steps[c], entry[c], out=entry[c + 1])
+        np.matmul(chunk_steps[c], entry[c], out=entry[c + 1])
     scan, tmp = ws.scan[..., :n_chunks]
-    _product(runs, entry.transpose(1, 2, 0)[:, :, None], scan, tmp)
+    _product(runs, entry.transpose(2, 3, 1, 0)[:, :, :, None], scan, tmp)
+    m = out.shape[0]
+    last, j = divmod(m - 1, SCAN_CHUNK)
+    np.copyto(ws.entry[0], scan[..., j, last].transpose(2, 0, 1))
+    lab = ws.lab[..., :n_chunks]
+    _to_lab(scan, lab)
     # the state after step SCAN_CHUNK * c + j is chunk_states[c, j]
-    chunk_states = scan.transpose(3, 2, 0, 1)
-    full, rest = divmod(out.shape[0], SCAN_CHUNK)
-    np.copyto(out[:full * SCAN_CHUNK].reshape(full, SCAN_CHUNK, *psi.shape), chunk_states[:full])
+    chunk_states = lab.transpose(3, 2, 0, 1)
+    full, rest = divmod(m, SCAN_CHUNK)
+    np.copyto(out[:full * SCAN_CHUNK].reshape(full, SCAN_CHUNK, *out.shape[1:]), chunk_states[:full])
     if rest:
         np.copyto(out[full * SCAN_CHUNK:], chunk_states[full, :rest])
 
@@ -253,6 +285,8 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
     ws = _Workspace(n, psi.shape[1])
     states = np.empty((n + 1,) + psi.shape, dtype=complex)
     states[0] = psi
+    # sector coordinates c = SECTOR_BASIS^-1 psi, (sector, row, probe)
+    np.multiply(0.5, (SECTOR_BASIS.T @ psi).reshape(2, 2, -1), out=ws.entry[0])
     # a step matrix too large for RK4 overflows to inf and nan; the drift
     # check below rejects every such state, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,15 +296,17 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
             width = -(-m // SCAN_CHUNK) * SCAN_CHUNK
             nodes = slice(2 * start, 2 * stop + 1)
             a = ws.generators[..., :2 * m + 1]
-            _hamiltonian_stack(tau[nodes], alpha[nodes], schedule.params.delta, a.transpose(2, 0, 1))
+            sector_hamiltonian(tau[nodes], alpha[nodes], schedule.params.delta, a.transpose(3, 2, 0, 1))
+            np.multiply(-1j, a, out=a)
             _transfer_matrices(a, h, ws.steps[..., :m], ws.stages[..., :m])
-            ws.steps[..., m:width] = _EYE
-            _block_states(ws.steps[..., :width], states[start], states[start + 1:stop + 1], ws)
+            ws.steps[..., m:width] = _EYE2
+            _block_states(ws.steps[..., :width], states[start + 1:stop + 1], ws)
         drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"state norm drifted by {drift:.3g} (limit {NORM_DRIFT_LIMIT:g}); "
-            "increase the number of integration steps"
+            "increase the number of integration steps",
+            drift=drift,
         )
     return states
 
@@ -315,11 +351,23 @@ def _closed_form(schedule: ControlSchedule, grid: TimeGrid) -> np.ndarray:
 
 
 def _unitarity_residual(schedule: ControlSchedule, grid: TimeGrid) -> float:
-    """Max |U^dagger U - 1| entry of the closed form over the grid's nodes."""
+    """Max |U^dagger U - 1| entry of the closed form over the grid's nodes.
+
+    The Gram matrices are formed TRANSFER_BLOCK nodes at a time in one
+    buffer, so the check holds one block's products whatever the grid size.
+    """
     u = _closed_form(schedule, grid)
-    gram = _product(np.conj(u.transpose(1, 0, 2)), u)
-    gram -= _EYE
-    return float(np.max(np.abs(gram)))
+    n = u.shape[-1]
+    buf = np.empty((3, 4, 4, min(n, TRANSFER_BLOCK)), dtype=complex)
+    maxima = np.empty(-(-n // TRANSFER_BLOCK))
+    for i, start in enumerate(range(0, n, TRANSFER_BLOCK)):
+        block = u[..., start:start + TRANSFER_BLOCK]
+        adjoint, gram, tmp = buf[..., :block.shape[-1]]
+        _product(np.conj(block.transpose(1, 0, 2), out=adjoint), block, gram, tmp)
+        gram -= _EYE
+        maxima[i] = np.max(np.abs(gram, out=tmp.real))
+    # np.max, not a running max, so that a NaN entry anywhere reads as NaN
+    return float(np.max(maxima))
 
 
 def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid | None = None) -> float:

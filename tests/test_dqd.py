@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulseforge import (
     ControlSample,
@@ -23,6 +25,7 @@ from pulseforge import (
     quat_from_angles,
     right_qubit_state,
 )
+from pulseforge.dqd import SECTOR_BASIS, hamiltonian, sector_hamiltonian
 
 
 def cosine_angles(theta, gamma_final, duration):
@@ -259,3 +262,64 @@ def test_diamond_angles_require_gamma_zero_at_start():
         DiamondAngles(gamma=lambda t: (0.5, 0.0), theta=0.0)
     # whole multiples of 2*pi are valid continuations
     DiamondAngles(gamma=lambda t: (2 * math.pi, 0.0), theta=0.0)
+
+
+# the swap the diamond Hamiltonian commutes with: S|1> = |2>, S|3> = -|4>
+SECTOR_SWAP = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float)
+
+# signed zeros, the smallest subnormal and the float range's far ends, then
+# any float whose sums of four stay finite
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+def _sector_transform(h):
+    """SECTOR_BASIS^-1 h SECTOR_BASIS, the inverse being the transpose over 2."""
+    return 0.5 * (SECTOR_BASIS.T @ h @ SECTOR_BASIS)
+
+
+def test_sector_basis_inverse_is_its_transpose_over_two():
+    np.testing.assert_array_equal(SECTOR_BASIS.T @ SECTOR_BASIS, 2.0 * np.eye(4))
+    # its columns are the swap's eigenvectors: +1 for sector +, -1 for sector -
+    np.testing.assert_array_equal(SECTOR_SWAP @ SECTOR_BASIS, SECTOR_BASIS * [1, 1, -1, -1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(tau=EDGE_FLOATS, re=EDGE_FLOATS, im=EDGE_FLOATS, delta=EDGE_FLOATS)
+def test_hamiltonian_splits_into_the_sector_blocks(tau, re, im, delta):
+    alpha = complex(re, im)
+    h = hamiltonian(tau, alpha, delta)
+    np.testing.assert_array_equal(SECTOR_SWAP @ h, h @ SECTOR_SWAP)
+    t = _sector_transform(h)
+    assert np.all(t[:2, 2:] == 0) and np.all(t[2:, :2] == 0)
+    blocks = sector_hamiltonian(tau, alpha, delta)
+    for sector, sign in ((0, 1.0), (1, -1.0)):
+        block = t[2 * sector:2 * sector + 2, 2 * sector:2 * sector + 2]
+        assert block[0, 0] == sign * tau == blocks[sector, 0, 0]
+        assert block[0, 1] == alpha == blocks[sector, 0, 1]
+        assert block[1, 0] == np.conj(alpha) == blocks[sector, 1, 0]
+        corner = delta - sign * tau
+        assert blocks[sector, 1, 1] == corner
+        # one rounding of delta -+ tau
+        assert block[1, 1].imag == 0.0 and abs(block[1, 1].real - corner) <= np.spacing(abs(corner))
+
+
+@settings(deadline=None, max_examples=300)
+@given(gamma=EDGE_FLOATS, theta=EDGE_FLOATS, delta=EDGE_FLOATS, t=st.floats(min_value=0.0, max_value=1e-6))
+def test_propagator_commutes_with_the_sector_swap(gamma, theta, delta, t):
+    u = propagator_matrix(gamma, theta, delta, t)
+    assert np.max(np.abs(SECTOR_SWAP @ u - u @ SECTOR_SWAP)) <= 1e-15
+
+
+def test_sector_hamiltonian_broadcasts_like_hamiltonian(rng):
+    tau = rng.normal(size=(3, 5))
+    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
+    blocks = sector_hamiltonian(tau, alpha, 2.5)
+    assert blocks.shape == (3, 5, 2, 2, 2)
+    out = np.empty_like(blocks)
+    assert sector_hamiltonian(tau, alpha, 2.5, out) is out
+    np.testing.assert_array_equal(out, blocks)
+    for i, j in np.ndindex(3, 5):
+        np.testing.assert_array_equal(blocks[i, j], sector_hamiltonian(tau[i, j], alpha[j], 2.5))

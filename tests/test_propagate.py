@@ -8,6 +8,7 @@ from pulseforge import (
     AnsatzSpec,
     ControlSchedule,
     IntegrationError,
+    NotGateSpec,
     PrepareSpec,
     ScheduleMeta,
     SystemParams,
@@ -19,10 +20,21 @@ from pulseforge import (
     integrate,
     left_qubit_state,
     schedule_from_angles,
+    synthesize_gate,
     synthesize_preparation,
 )
 from pulseforge.dqd import propagator_matrix
-from pulseforge.propagate import DEFAULT_N_STEPS, SCAN_CHUNK, TRANSFER_BLOCK, _hamiltonian_stack, _integrate_columns
+from pulseforge.propagate import (
+    DEFAULT_N_STEPS,
+    NORM_DRIFT_LIMIT,
+    SCAN_CHUNK,
+    TRANSFER_BLOCK,
+    _closed_form,
+    _hamiltonian_stack,
+    _integrate_columns,
+    _product,
+    _unitarity_residual,
+)
 from conftest import random_unit_state
 
 
@@ -404,3 +416,40 @@ def test_integration_buffers_do_not_leak_between_calls(steps_b, probes_b, ref_pr
     # nor on the block before: the last block of 1000 steps is a partial one
     for k in range(probes.shape[1]):
         assert np.max(np.abs(first[:, :, k] - loop_rk4(sched_a, probes[:, k], grid_a))) <= 1e-12
+
+
+def _loop_drift(sched, grid):
+    """Largest per-step |norm - 1| of the step loop over the verify probes."""
+    return max(
+        float(np.max(np.abs(np.linalg.norm(loop_rk4(sched, p, grid), axis=1) - 1.0))) for p in verify_probes()
+    )
+
+
+def test_drift_check_reads_every_lab_step():
+    # The kernel steps sector coordinates c with |psi|^2 = 2 |c|^2; a drift
+    # read at that scale, or on fewer states, would not match the loop's.
+    # A not gate of 100 ns (50 Zeeman periods) drifts by about 4.8e-6 at
+    # the default 4000 steps.
+    sched = synthesize_gate(NotGateSpec(chi=0.3, mu=0.2), SystemParams(delta=math.pi * 1e9), AnsatzSpec(T=1e-7))
+    coarse = TimeGrid(sched.T, DEFAULT_N_STEPS)
+    expected = _loop_drift(sched, coarse)
+    assert expected > NORM_DRIFT_LIMIT
+    with pytest.raises(IntegrationError, match="drifted by") as exc:
+        compare_analytic(sched, verify_probes(), coarse)
+    assert exc.value.drift == pytest.approx(expected, rel=1e-6)
+    # just under the limit the same pulse integrates, with the loop's drift
+    fine = TimeGrid(sched.T, 5500)
+    expected = _loop_drift(sched, fine)
+    assert 0.9 * NORM_DRIFT_LIMIT < expected <= NORM_DRIFT_LIMIT
+    states = _integrate_columns(sched, verify_probes().T.copy(), fine)
+    assert float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_steps", [TRANSFER_BLOCK - 1, TRANSFER_BLOCK, DEFAULT_N_STEPS])
+def test_blockwise_unitarity_residual_matches_the_whole_grid(n_steps, ref_prep_schedule):
+    # n_steps + 1 nodes: one whole block, a block and one node, and a
+    # partial last block
+    grid = TimeGrid(ref_prep_schedule.T, n_steps)
+    u = _closed_form(ref_prep_schedule, grid)
+    whole = float(np.max(np.abs(_product(np.conj(u.transpose(1, 0, 2)), u) - np.eye(4).reshape(4, 4, 1))))
+    assert _unitarity_residual(ref_prep_schedule, grid) == whole
