@@ -222,7 +222,7 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
                 if stage.chi is None or stage.mu is None:
                     raise PlanError("first chain stage must be a prepare or declare chi and mu")
                 chi_in, mu_in = stage.chi, stage.mu
-            psi_analytic = basis_state(1) if stage.gate == "prepare" else left_qubit_state(chi_in, mu_in)
+            psi_analytic = left_qubit_state(chi_in, mu_in)
             psi_ode = psi_analytic.copy()
         else:
             if stage.gate == "prepare":
@@ -255,10 +255,7 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
                 schedule=schedule,
                 chi_in=chi_in,
                 mu_in=mu_in,
-                input_amplitudes=(
-                    complex(math.cos(chi_in)),
-                    complex(np.exp(1j * mu_in) * math.sin(chi_in)),
-                ),
+                input_amplitudes=tuple(complex(a) for a in left_qubit_state(chi_in, mu_in)[[0, 3]]),
                 output_amplitudes=(complex(target[1]), complex(target[2])),
                 t_start=cursor,
                 t_end=cursor + schedule.T,
@@ -435,6 +432,14 @@ def cmd_chain(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0; inf or nan would let any gap pass or none."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulseforge",
@@ -454,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--steps", type=int, default=DEFAULT_N_STEPS, help=f"integration steps (default {DEFAULT_N_STEPS})"
             )
         if tol:
-            p.add_argument("--tol", type=float, default=1e-7, help="verification tolerance (default 1e-7)")
+            p.add_argument("--tol", type=_tolerance, default=1e-7, help="verification tolerance (default 1e-7)")
         if branch:
             p.add_argument(
                 "--branch",

@@ -169,21 +169,16 @@ def check_normalized(state: np.ndarray) -> np.ndarray:
     return psi
 
 
-def hamiltonian(tau, alpha, delta: float, out: np.ndarray | None = None) -> np.ndarray:
+def hamiltonian(tau, alpha, delta: float) -> np.ndarray:
     """Laboratory-frame Hamiltonian for (tau, alpha) controls, shape (..., 4, 4).
 
     Zeros on diagonal entries 1, 2 and delta on 3, 4; tau on the 1-2 and 3-4
     links; alpha on 1-3 and -alpha on 2-4, conjugated below the diagonal.
-    Broadcasts over the leading axes of ``tau`` and ``alpha``; written into
-    ``out``, a complex array of that shape, when it is given.
+    Broadcasts over the leading axes of ``tau`` and ``alpha``.
     """
     tau = np.asarray(tau, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
-    if out is None:
-        h = np.zeros(np.broadcast_shapes(tau.shape, alpha.shape) + (4, 4), dtype=complex)
-    else:
-        h = out
-        h[...] = 0.0
+    h = np.zeros(np.broadcast_shapes(tau.shape, alpha.shape) + (4, 4), dtype=complex)
     h[..., 0, 1] = h[..., 1, 0] = h[..., 2, 3] = h[..., 3, 2] = tau
     h[..., 0, 2] = alpha
     h[..., 2, 0] = np.conj(alpha)

@@ -485,7 +485,10 @@ def _parse_ansatz(obj) -> AnsatzSpec:
         if key in obj:
             kwargs[key] = _plan_number(obj[key], f"ansatz.{key}")
     if "n_samples" in obj:
-        kwargs["n_samples"] = int(_plan_number(obj["n_samples"], "ansatz.n_samples"))
+        n_samples = _plan_number(obj["n_samples"], "ansatz.n_samples")
+        if not n_samples.is_integer():
+            raise PlanError(f"ansatz.n_samples must be a whole number, got {obj['n_samples']!r}")
+        kwargs["n_samples"] = int(n_samples)
     if "profile" in obj:
         prof = obj["profile"]
         try:

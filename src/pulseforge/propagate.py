@@ -134,10 +134,9 @@ class FidelityTrace:
     fidelity: np.ndarray
 
 
-def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """-i H at each time, stacked; vectorized over the leading axis, and
-    written into ``out`` (shape (..., 4, 4)) when it is given."""
-    h = hamiltonian(tau, alpha, delta, out)
+def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float) -> np.ndarray:
+    """-i H at each time, stacked; vectorized over the leading axis."""
+    h = hamiltonian(tau, alpha, delta)
     return np.multiply(-1j, h, out=h)
 
 

@@ -7,9 +7,12 @@ is linear in cos 2*theta and sin 2*theta), then pick the operation time T so
 the Zeeman precession supplies the required relative phase, then sample the
 smooth drive-angle ramp gamma(t) into (tau, alpha) arrays.
 
-Phase angles are always extracted as arguments of the complex final
-amplitudes rather than from cot/tan expressions, which removes the spurious
-singularities of the arctan form at mu -> 0 or chi -> 0.
+The forward map (:func:`transport_amplitudes`) is the closed-form
+propagator applied to the left-dot qubit, and the transport phases
+(:func:`zeta_phases`) are read from it.  Phase angles are always extracted
+as arguments of the complex final amplitudes rather than from cot/tan
+expressions, which removes the spurious singularities of the arctan form at
+mu -> 0 or chi -> 0.
 
 Every gate kind takes this one path in :func:`synthesize_gate`; a spec
 class supplies only its own data (start and target states, the target
@@ -52,6 +55,7 @@ from .dqd import (
     basis_state,
     drive_controls,
     left_qubit_state,
+    propagator_matrix,
 )
 from .errors import (
     DegeneratePhaseError,
@@ -555,18 +559,9 @@ def schedule_from_angles(
 def transport_amplitudes(chi: float, mu: float, theta: float, gamma_t: float, zeeman_phase: float) -> np.ndarray:
     """Forward map: final amplitudes (b1..b4) for the left-dot qubit
     cos(chi)|1> + e^{i mu} sin(chi)|4> after a pulse reaching gamma_t, with
-    accumulated Zeeman phase ``zeeman_phase`` = delta * T."""
-    eimu = np.exp(1j * mu)
-    c, s = math.cos(gamma_t), math.sin(gamma_t)
-    cc, sc = math.cos(chi), math.sin(chi)
-    ct, st = math.cos(theta), math.sin(theta)
-    ez = np.exp(-1j * zeeman_phase)
-    return np.array([
-        cc * c,
-        -1j * s * (cc * ct + eimu * sc * st),
-        1j * ez * s * (cc * st - eimu * sc * ct),
-        sc * c * np.exp(1j * mu) * ez,
-    ])
+    accumulated Zeeman phase ``zeeman_phase`` = delta * T: the closed-form
+    propagator applied to :func:`~pulseforge.dqd.left_qubit_state`."""
+    return propagator_matrix(gamma_t, theta, zeeman_phase, 1.0) @ left_qubit_state(chi, mu)
 
 
 def solve_theta(chi: float, mu: float, a_target: float, b_target: float) -> list[float]:
@@ -621,16 +616,14 @@ def solve_theta(chi: float, mu: float, a_target: float, b_target: float) -> list
 
 
 def zeta_phases(chi: float, mu: float, theta: float, gamma_final: float = 0.5 * math.pi) -> tuple[float, float]:
-    """Phases of the final right-dot amplitudes before Zeeman precession.
+    """Phases of the final right-dot amplitudes b2, b3 of
+    :func:`transport_amplitudes` before Zeeman precession.
 
     Extracted as arguments of the complex amplitudes themselves, which
     stays finite wherever the amplitudes do; a vanishing amplitude has no
     phase and raises :class:`~pulseforge.errors.DegeneratePhaseError`.
     """
-    eimu = np.exp(1j * mu)
-    s = math.sin(gamma_final)
-    b2 = -1j * s * (math.cos(chi) * math.cos(theta) + eimu * math.sin(chi) * math.sin(theta))
-    b3 = 1j * s * (math.cos(chi) * math.sin(theta) - eimu * math.sin(chi) * math.cos(theta))
+    _, b2, b3, _ = transport_amplitudes(chi, mu, theta, gamma_final, 0.0)
     if abs(b2) < _AMP_TOL:
         raise DegeneratePhaseError("b2 amplitude vanishes; zeta_A is undefined")
     if abs(b3) < _AMP_TOL:

@@ -402,3 +402,71 @@ def test_an_edited_header_keeps_the_exit_contract_and_never_verifies(case):
     assert [str(w.message) for w in caught] == []
     if moved:
         assert "PASS" not in stdout.getvalue(), moved
+
+
+# ------------------------------------------------- --tol and n_samples values
+
+BAD_TOLS = ["nan", "inf", "-inf", "-1e-7"]
+
+
+@pytest.fixture(scope="module")
+def tol_inputs(tmp_path_factory):
+    """A valid schedule and a valid chain plan, so only --tol can be wrong."""
+    d = tmp_path_factory.mktemp("tol")
+    (d / "s.csv").write_text("\n".join(_schedule_lines("not", "cosine", 2000)) + "\n")
+    (d / "plan.json").write_text(json.dumps({
+        "system": {"delta_rad_per_s": REF_DELTA},
+        "stages": [{"gate": "prepare", "target": {"b2": 0.6, "b3": 0.8}, "ansatz": {"n_samples": 50}}],
+    }))
+    return {"verify": ["verify", "--schedule", str(d / "s.csv")],
+            "chain": ["chain", "--plan", str(d / "plan.json"), "--out", str(d / "out")]}
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("command", ["verify", "chain"])
+def test_a_non_finite_or_negative_tolerance_exits_2(tol_inputs, capsys, command, tol):
+    # '=' form: argparse takes '-inf' or '-1e-7' after a space for an option
+    argv = tol_inputs[command] + [f"--tol={tol}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    result = _run_module(*argv, cwd=Path(argv[2]).parent)
+    assert result.returncode == 2
+    assert "--tol" in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "chain"])
+def test_a_zero_tolerance_still_runs(tol_inputs, capsys, command):
+    # no gap is exactly zero, so the check runs and fails
+    assert main(tol_inputs[command] + ["--tol", "0"]) == 4
+    assert "-> FAIL" in capsys.readouterr().out
+
+
+def _prepare_plan(tmp_path, n_samples):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "system": {"delta_rad_per_s": REF_DELTA},
+        "stages": [{"gate": "prepare", "target": {"b2": 0.6, "b3": 0.8}, "ansatz": {"n_samples": n_samples}}],
+    }))
+    return str(plan)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, 2000.9, "2.5", "2000.5", 1e-3], ids=repr)
+def test_a_fractional_sample_count_exits_2(tmp_path, capsys, n_samples):
+    out = tmp_path / "out"
+    assert main(["prepare", "--plan", _prepare_plan(tmp_path, n_samples), "--out", str(out)]) == 2
+    assert "ansatz.n_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_samples", [2000.0, "2000", "2000.0"], ids=repr)
+def test_a_whole_sample_count_reads_as_that_integer(tmp_path, capsys, n_samples):
+    files = []
+    for k, value in enumerate([2000, n_samples]):
+        out = tmp_path / f"out{k}"
+        (tmp_path / f"p{k}").mkdir()
+        assert main(["prepare", "--plan", _prepare_plan(tmp_path / f"p{k}", value), "--out", str(out)]) == 0
+        files.append((out / "stage01_prepare.csv").read_bytes())
+    assert b"# n_samples=2000\n" in files[0]
+    assert files[0] == files[1]

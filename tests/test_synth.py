@@ -125,6 +125,30 @@ def test_transport_amplitudes_match_propagator(rng):
         np.testing.assert_allclose(b, psi, atol=1e-14)
 
 
+_HALF_PI = 0.5 * math.pi
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    chi=st.one_of(st.just(0.0), st.just(_HALF_PI), st.floats(0.0, 1e-9), st.floats(0.0, _HALF_PI)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 2.0 * math.pi)),
+    theta=st.floats(-_HALF_PI, _HALF_PI),
+    gamma_t=st.one_of(st.sampled_from([_HALF_PI, 3.0 * _HALF_PI]), st.floats(0.0, 2.0 * math.pi)),
+    zeeman_phase=st.floats(-1e3, 1e3),
+)
+def test_forward_map_and_transport_phases_are_the_closed_form(chi, mu, theta, gamma_t, zeeman_phase):
+    psi = left_qubit_state(chi, mu)
+    expected = propagator_matrix(gamma_t, theta, zeeman_phase, 1.0) @ psi
+    assert np.array_equal(transport_amplitudes(chi, mu, theta, gamma_t, zeeman_phase), expected)
+    # the transport phases are read before Zeeman precession
+    b = propagator_matrix(gamma_t, theta, 0.0, 1.0) @ psi
+    if min(abs(b[1]), abs(b[2])) < 1e-12:
+        with pytest.raises(DegeneratePhaseError):
+            zeta_phases(chi, mu, theta, gamma_t)
+    else:
+        assert zeta_phases(chi, mu, theta, gamma_t) == (float(np.angle(b[1])), float(np.angle(b[2])))
+
+
 def test_amplitude_sum_equals_sin_squared_gamma(rng):
     for _ in range(300):
         chi = rng.uniform(0, math.pi / 2)
