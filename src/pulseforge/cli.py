@@ -434,7 +434,10 @@ def cmd_chain(args) -> int:
 
 def _tolerance(text: str) -> float:
     """A ``--tol`` value: a finite number >= 0; inf or nan would let any gap pass or none."""
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not (math.isfinite(tol) and tol >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return tol

@@ -406,7 +406,7 @@ def test_an_edited_header_keeps_the_exit_contract_and_never_verifies(case):
 
 # ------------------------------------------------- --tol and n_samples values
 
-BAD_TOLS = ["nan", "inf", "-inf", "-1e-7"]
+BAD_TOLS = ["nan", "inf", "-inf", "-1e-7", "text"]
 
 
 @pytest.fixture(scope="module")
