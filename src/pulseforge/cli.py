@@ -20,6 +20,7 @@ z = +1 for spin-down.  No core path uses randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -443,7 +444,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pulseforge`` parser, built on the first call and shared after it.
+
+    Parsing keeps nothing between calls: each one fills a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="pulseforge",
         description="Synthesize and verify tunneling/spin-orbit pulse schedules "
@@ -475,35 +481,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="synthesize a preparation stage")
     add_common(p, plan=True, branch=True, fmt=True)
     p.add_argument("--stage", type=int, default=0, help="stage index in the plan (default 0)")
-    p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("gate", help="synthesize a phase/not/transport stage")
     add_common(p, plan=True, branch=True, fmt=True)
     p.add_argument("--stage", type=int, default=0, help="stage index in the plan (default 0)")
-    p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("simulate", help="integrate a schedule and export the trajectory")
     add_common(p, schedule=True, steps=True, fmt=True)
     p.add_argument("--psi0", default="1,0,0,0", help="initial state, 4 comma-separated amplitudes")
     p.add_argument("--target", default=None, help="optional target state for the fidelity column")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="cross-check a schedule against the closed form")
     add_common(p, schedule=True, steps=True, tol=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chain", help="run a multi-stage plan across a dot chain")
     add_common(p, plan=True, steps=True, tol=True, branch=True)
-    p.set_defaults(func=cmd_chain)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on each call, so a replaced cmd_* function is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (PulseforgeError, ValueError) as exc:
         code = getattr(exc, "exit_code", PulseforgeError.exit_code)
         print(f"{_LABELS[code]}: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqd import SystemParams
-from .errors import InvalidAnsatzError, PlanError, ScheduleFormatError
+from .errors import InvalidAnsatzError, PlanError, PulseforgeError, ScheduleFormatError
 from .propagate import FidelityTrace, Trajectory
 from .synth import ANSATZ_FAMILIES, AnsatzSpec, ControlSchedule, ScheduleMeta
 
@@ -120,16 +120,23 @@ def zeeman_splitting(b_field_mT: float, g_factor: float) -> float:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write an iterable of bytes chunks to ``path`` through a temp file and a rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write an iterable of bytes chunks to ``path`` through a temp file and a rename.
+
+    An OSError on the way (a parent that is a regular file, a full disk) is
+    a PulseforgeError naming ``path``; a failed write leaves no temp file.
+    """
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise PulseforgeError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -274,7 +281,7 @@ def read_schedule(path: str | Path) -> ControlSchedule:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScheduleFormatError(f"cannot read schedule file {path}: {exc}") from exc
     lines = raw.splitlines()
     header: dict[str, str] = {}
@@ -546,7 +553,7 @@ def load_plan(path: str | Path) -> PlanDocument:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlanError(f"cannot read plan {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PlanError(f"plan {path} is not valid JSON: {exc}") from exc

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pulseforge
-from pulseforge import NotGateSpec, synthesize_gate
+from pulseforge import NotGateSpec, cli, synthesize_gate
 from pulseforge.cli import bloch_vector, compose_chain, main
 from pulseforge.errors import PlanError, ScheduleFormatError
 from pulseforge.io import (
@@ -832,3 +832,129 @@ def test_verify_names_a_ramp_slope_past_the_float_range(tmp_path, capsys):
 def test_prepare_target_past_the_float_square_exits_2(tmp_path, capsys, target):
     assert main(["prepare", "--plan", _stage_plan(tmp_path, {"gate": "prepare", "target": target})]) == 2
     assert "must be 1 within 1e-10" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- the shared parser
+
+
+def _run_module(*argv, cwd):
+    src = str(Path(pulseforge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "pulseforge.cli", *argv], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_command_replaced_after_a_call_is_the_one_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 0
+    assert main(["verify", "--schedule", str(out / "stage01_not.csv")]) == 0
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert main(["verify", "--schedule", str(out / "stage01_not.csv")]) == 7
+
+
+def test_an_option_value_does_not_carry_into_the_next_call(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 0
+    schedule = str(out / "stage01_not.csv")
+    capsys.readouterr()
+    assert main(["verify", "--schedule", schedule, "--tol", "1e-3"]) == 0
+    assert "tolerance: 1.000e-03 -> PASS" in capsys.readouterr().out
+    assert main(["verify", "--schedule", schedule]) == 0
+    assert "tolerance: 1.000e-07 -> PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["verify"], ["verify", "--schedule", "s.csv", "--tol=nan"],
+                                  ["gate", "--plan", "p.json", "--stage", "x"]])
+def test_a_usage_error_after_a_call_reads_as_in_a_fresh_process(tmp_path, capsys, argv):
+    assert main(["gate", "--plan", not_plan(tmp_path, tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pulseforge")
+    fresh = _run_module(*argv, cwd=tmp_path)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", err)
+
+
+# ------------------------------------------------ unwritable and unreadable
+
+
+def _regular_file(tmp_path):
+    """A regular file where an output directory would be made."""
+    path = tmp_path / "s.csv"
+    path.write_text("")
+    return path
+
+
+def _unwritable_argv(tmp_path, command, blocker):
+    if command == "gate":
+        return ["gate", "--plan", not_plan(tmp_path, tmp_path / "out"), "--out", str(blocker / "sub")]
+    if command == "chain":
+        return ["chain", "--plan", chain_plan(tmp_path, tmp_path / "out"), "--out", str(blocker)]
+    assert main(["gate", "--plan", not_plan(tmp_path, tmp_path / "out")]) == 0
+    return ["simulate", "--schedule", str(tmp_path / "out" / "stage01_not.csv"), "--steps", "200",
+            "--out", str(blocker / "sub")]
+
+
+@pytest.mark.parametrize("command", ["gate", "simulate", "chain"])
+def test_an_output_under_a_regular_file_exits_2(tmp_path, capsys, command):
+    blocker = _regular_file(tmp_path)
+    argv = _unwritable_argv(tmp_path, command, blocker)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}{os.sep}") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+def test_a_plan_out_dir_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = _regular_file(tmp_path)
+    assert main(["prepare", "--plan", prep_plan(tmp_path, blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker / 'sub'}{os.sep}")
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    # a directory where the schedule file goes: the rename onto it fails
+    (out / "stage01_not.csv").mkdir(parents=True)
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'stage01_not.csv'}: ")
+    assert [p.name for p in out.iterdir()] == ["stage01_not.csv"]
+
+
+def test_an_unwritable_output_exits_2_from_the_process(tmp_path):
+    blocker = _regular_file(tmp_path)
+    result = _run_module(*_unwritable_argv(tmp_path, "gate", blocker), cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
+NOT_UTF8 = b"\xff\xfe# pulseforge schedule v1\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--schedule"), ("simulate", "--schedule"), ("gate", "--plan"), ("chain", "--plan"),
+])
+def test_an_input_that_is_not_utf8_is_named(tmp_path, capsys, command, flag):
+    path = tmp_path / "input"
+    path.write_bytes(NOT_UTF8)
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and f" {path}: " in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_input_that_is_not_utf8_raises_the_readers_error(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(ScheduleFormatError, match="cannot read schedule file"):
+        read_schedule(path)
+    with pytest.raises(PlanError, match="cannot read plan"):
+        load_plan(path)
