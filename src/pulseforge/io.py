@@ -24,10 +24,16 @@ Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
 strings (i or j), [re, im] pairs, or {"abs": ..., "phase": ...} objects.
 Every plan number must come out finite; anything else is a PlanError.
+
+A writer that cannot write its file (a directory that cannot be made, a
+full disk, a failed rename) raises PulseforgeError naming the path, not the
+OSError it met; a reader that cannot read or decode its file raises
+ScheduleFormatError or PlanError naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -119,24 +125,40 @@ def zeeman_splitting(b_field_mT: float, g_factor: float) -> float:
     return MU_BOHR_SI * abs(float(g_factor) * b_tesla) / HBAR_SI
 
 
+@contextlib.contextmanager
+def _naming_write_errors(path: Path):
+    """Raise an OSError of the block as a PulseforgeError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise PulseforgeError(f"cannot write {path}: {exc}") from exc
+
+
 def _atomic_write(path: Path, chunks) -> None:
     """Write an iterable of bytes chunks to ``path`` through a temp file and a rename.
 
-    An OSError on the way (a parent that is a regular file, a full disk) is
-    a PulseforgeError naming ``path``; a failed write leaves no temp file.
+    An OSError from making the directory or the temp file, a write or the
+    rename (a parent that is a regular file, a full disk) is raised as a
+    PulseforgeError naming ``path``; one raised while ``chunks`` produces
+    its data is raised as it is.  A failed write leaves no temp file.
     """
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "wb") as f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException as exc:
+        with _naming_write_errors(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            f = os.fdopen(fd, "wb")
+        with f:
+            for chunk in chunks:
+                with _naming_write_errors(path):
+                    f.write(chunk)
+            with _naming_write_errors(path):
+                f.flush()
+        with _naming_write_errors(path):
+            os.replace(tmp, path)
+    except BaseException:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise PulseforgeError(f"cannot write {path}: {exc}") from exc
         raise
 
 

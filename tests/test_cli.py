@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -11,7 +13,8 @@ import pytest
 import pulseforge
 from pulseforge import NotGateSpec, cli, synthesize_gate
 from pulseforge.cli import bloch_vector, compose_chain, main
-from pulseforge.errors import PlanError, ScheduleFormatError
+from pulseforge import io as pfio
+from pulseforge.errors import PlanError, PulseforgeError, ScheduleFormatError
 from pulseforge.io import (
     load_plan,
     parse_angle,
@@ -926,6 +929,27 @@ def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys):
     assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'stage01_not.csv'}: ")
     assert [p.name for p in out.iterdir()] == ["stage01_not.csv"]
+
+
+def test_a_failed_write_is_named_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    class FullDisk(io.FileIO):
+        def write(self, chunk):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pfio.os, "fdopen", lambda fd, mode: FullDisk(fd, "wb"))
+    with pytest.raises(PulseforgeError, match=r"^cannot write .*out\.csv: .*No space left"):
+        pfio._atomic_write(tmp_path / "out.csv", [b"t\n"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_oserror_while_producing_the_data_is_not_a_write_error(tmp_path):
+    def chunks():
+        yield b"t\n"
+        raise FileNotFoundError("a missing input")
+
+    with pytest.raises(FileNotFoundError, match="a missing input"):
+        pfio._atomic_write(tmp_path / "out.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_unwritable_output_exits_2_from_the_process(tmp_path):
