@@ -45,6 +45,7 @@ from .propagate import (
     DEFAULT_N_STEPS,
     TimeGrid,
     Trajectory,
+    _integrate_columns,
     _unitarity_residual,
     compare_analytic,
     fidelity_trace,
@@ -142,19 +143,35 @@ def _out_dir(args, plan: PlanDocument | None = None) -> Path:
 
 @dataclass
 class StageOutcome:
-    """Everything the chain composer records about one executed stage."""
+    """What the chain composer records about one executed stage."""
 
     index: int
-    dots: tuple[int, int]
-    gate: str
     spec: GateSpec
     schedule: ControlSchedule
     chi_in: float
     mu_in: float
-    input_amplitudes: tuple[complex, complex]
-    output_amplitudes: tuple[complex, complex]
     t_start: float
-    t_end: float
+
+    @property
+    def gate(self) -> str:
+        return self.spec.gate
+
+    @property
+    def dots(self) -> tuple[int, int]:
+        return self.index, self.index + 1
+
+    @property
+    def t_end(self) -> float:
+        return self.t_start + self.schedule.T
+
+    @property
+    def input_amplitudes(self) -> tuple[complex, complex]:
+        return tuple(complex(a) for a in left_qubit_state(self.chi_in, self.mu_in)[[0, 3]])
+
+    @property
+    def output_amplitudes(self) -> tuple[complex, complex]:
+        target = self.spec.target_state()
+        return complex(target[1]), complex(target[2])
 
     @property
     def input_bloch(self) -> tuple[float, float, float]:
@@ -185,10 +202,6 @@ class ChainResult:
         return float(abs(np.vdot(self.declared_final(), self.analytic_final)) ** 2)
 
 
-def _stage_error(exc: Exception, index: int, gate: str) -> Exception:
-    return type(exc)(f"stage {index} ({gate}): {exc}")
-
-
 def _run_stage(
     stage: StagePlan, spec: GateSpec, params: SystemParams, branch, psi: np.ndarray
 ) -> tuple[ControlSchedule, np.ndarray]:
@@ -198,6 +211,28 @@ def _run_stage(
     return schedule, analytic_propagator(schedule.angles(), schedule.T, params) @ psi
 
 
+def _input_qubit(stage: StagePlan, prev: StageOutcome | None) -> tuple[float, float]:
+    """(chi, mu) of a chain stage's input qubit: |1> for a prepare stage, valid
+    only first; declared by another first stage; else the one ``prev`` left,
+    which a declared chi or mu must match."""
+    if stage.gate == "prepare":
+        if prev is not None:
+            raise PlanError("prepare is only valid as the first chain stage")
+        return 0.0, 0.0
+    if prev is None:
+        if stage.chi is None or stage.mu is None:
+            raise PlanError("first chain stage must be a prepare or declare chi and mu")
+        return stage.chi, stage.mu
+    inherited = _qubit_from_target(prev.spec.target_state())
+    for name, declared, derived in zip(("chi", "mu"), (stage.chi, stage.mu), inherited):
+        if declared is not None and abs(declared - derived) > 1e-9:
+            raise PlanError(
+                f"declared {name}={declared!r} disagrees with the "
+                f"qubit inherited from stage {prev.index} ({derived!r})"
+            )
+    return inherited
+
+
 def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT_N_STEPS) -> ChainResult:
     """Run every stage of a plan sequentially along the dot chain.
 
@@ -205,67 +240,29 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
     (|1>, |4>): the right dot of one pair is the left dot of the next.
     Complex amplitudes (including the running global phase) are carried
     exactly; the declared targets drive the per-stage gate specs.
+
+    The closed-form and RK4 states are the columns of one (4, 2) stack; the
+    RK4 column is never renormalized, so its drift accumulates against the
+    per-step limit.  A stage's error gains a ``stage N (gate): `` prefix.
     """
-    params = plan.system
     outcomes: list[StageOutcome] = []
-    chi_next: float | None = None
-    mu_next: float | None = None
-    psi_analytic: np.ndarray | None = None
-    psi_ode: np.ndarray | None = None
-    cursor = 0.0
-
-    for k, stage in enumerate(plan.stages):
-        index = k + 1
-        if k == 0:
-            if stage.gate == "prepare":
-                chi_in, mu_in = 0.0, 0.0
-            else:
-                if stage.chi is None or stage.mu is None:
-                    raise PlanError("first chain stage must be a prepare or declare chi and mu")
-                chi_in, mu_in = stage.chi, stage.mu
-            psi_analytic = left_qubit_state(chi_in, mu_in)
-            psi_ode = psi_analytic.copy()
-        else:
-            if stage.gate == "prepare":
-                raise PlanError(f"stage {index}: prepare is only valid as the first chain stage")
-            chi_in, mu_in = chi_next, mu_next
-            for name, declared, derived in (("chi", stage.chi, chi_in), ("mu", stage.mu, mu_in)):
-                if declared is not None and abs(declared - derived) > 1e-9:
-                    raise PlanError(
-                        f"stage {index}: declared {name}={declared!r} disagrees with the "
-                        f"qubit inherited from stage {index - 1} ({derived!r})"
-                    )
-            # the right dot of the previous pair is the left dot of this one
-            psi_analytic = np.array([psi_analytic[1], 0.0, 0.0, psi_analytic[2]], dtype=complex)
-            psi_ode = np.array([psi_ode[1], 0.0, 0.0, psi_ode[2]], dtype=complex)
-
-        spec = materialize(stage, chi_in, mu_in)
+    for index, stage in enumerate(plan.stages, 1):
+        prev = outcomes[-1] if outcomes else None
         try:
-            schedule, psi_analytic = _run_stage(stage, spec, params, branch, psi_analytic)
-            psi_ode = integrate(schedule, psi_ode, TimeGrid(schedule.T, n_steps)).final_state
-        except PulseforgeError as exc:
-            raise _stage_error(exc, index, stage.gate) from exc
-
-        target = spec.target_state()
-        outcomes.append(
-            StageOutcome(
-                index=index,
-                dots=(index, index + 1),
-                gate=stage.gate,
-                spec=spec,
-                schedule=schedule,
-                chi_in=chi_in,
-                mu_in=mu_in,
-                input_amplitudes=tuple(complex(a) for a in left_qubit_state(chi_in, mu_in)[[0, 3]]),
-                output_amplitudes=(complex(target[1]), complex(target[2])),
-                t_start=cursor,
-                t_end=cursor + schedule.T,
-            )
-        )
-        cursor += schedule.T
-        chi_next, mu_next = _qubit_from_target(target)
-
-    return ChainResult(outcomes=outcomes, analytic_final=psi_analytic, ode_final=psi_ode)
+            chi_in, mu_in = _input_qubit(stage, prev)
+            # the right dot of the previous pair is the left dot of this one
+            psi = (np.array([psi[1], (0.0, 0.0), (0.0, 0.0), psi[2]], dtype=complex) if prev
+                   else np.stack([left_qubit_state(chi_in, mu_in)] * 2, axis=1))
+            spec = materialize(stage, chi_in, mu_in)
+            schedule, analytic = _run_stage(stage, spec, plan.system, branch, psi[:, 0])
+            grid = TimeGrid(schedule.T, n_steps)
+            # one expression, so that no name keeps the stage's states alive into the next
+            psi = np.column_stack([analytic, _integrate_columns(schedule, psi[:, 1:], grid)[-1]])
+        except (PulseforgeError, ValueError) as exc:
+            exc.args = (f"stage {index} ({stage.gate}): {exc}",)
+            raise
+        outcomes.append(StageOutcome(index, spec, schedule, chi_in, mu_in, prev.t_end if prev else 0.0))
+    return ChainResult(outcomes=outcomes, analytic_final=psi[:, 0], ode_final=psi[:, 1])
 
 
 def _stage_report_dict(outcome: StageOutcome, filename: str) -> dict:

@@ -4,6 +4,7 @@ a mutated plan or header ends in 0/2/3/4 without a traceback or a warning."""
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -25,7 +26,7 @@ from pulseforge import AnsatzSpec, NotGateSpec, PhaseGateSpec, PrepareSpec, Syst
 from pulseforge import synthesize_gate
 from pulseforge import cli
 from pulseforge.cli import main
-from pulseforge.io import write_schedule
+from pulseforge.io import load_plan, write_schedule
 from conftest import REF_DELTA
 
 _S = np.linspace(0.0, 1.0, 6)
@@ -470,3 +471,89 @@ def test_a_whole_sample_count_reads_as_that_integer(tmp_path, capsys, n_samples)
         files.append((out / "stage01_prepare.csv").read_bytes())
     assert b"# n_samples=2000\n" in files[0]
     assert files[0] == files[1]
+
+
+# ----------------------------------------------------------------- chain
+
+# a 50-sample preparation, then a NOT: coarse enough that a few hundred RK4
+# steps leave the carried state off norm 1 by more than 1e-10
+SHORT_CHAIN = {
+    "system": {"delta_rad_per_s": 1e9},
+    "stages": [
+        {"gate": "prepare", "target": {"b2": 0.6, "b3": 0.8}, "ansatz": {"n_samples": 50}},
+        {"gate": "not"},
+    ],
+}
+
+
+def _short_chain(tmp_path) -> str:
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(SHORT_CHAIN))
+    return str(plan)
+
+
+@pytest.mark.parametrize("steps, code, out, err", [
+    (300, 0, "deviation: 2.161e-08 (tolerance 2.000e-07) -> PASS", ""),
+    (100, 4, "deviation: 1.751e-06 (tolerance 2.000e-07) -> FAIL", ""),
+    (40, 4, None, "verification failure: stage 1 (prepare): state norm drifted by 2.37e-06 (limit 1e-06); "
+                  "increase the number of integration steps\n"),
+], ids=["pass", "fail", "drift"])
+def test_a_chain_carries_its_rk4_state_without_the_input_norm_check(tmp_path, capsys, steps, code, out, err):
+    assert main(["chain", "--plan", _short_chain(tmp_path), "--steps", str(steps), "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if out is not None:
+        assert out in captured.out
+
+
+@pytest.mark.parametrize("steps, code", [(300, 0), (40, 4)])
+def test_the_process_exit_status_of_a_coarse_chain(tmp_path, steps, code):
+    _short_chain(tmp_path)
+    result = _run_module("chain", "--plan", "plan.json", "--steps", str(steps), cwd=tmp_path)
+    assert result.returncode == code
+    if code:
+        assert result.stderr.startswith("verification failure: stage 1 (prepare): ")
+        assert result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""
+
+
+def test_a_chain_never_renormalizes_its_rk4_state(tmp_path):
+    plan = load_plan(_short_chain(tmp_path))
+    chained = cli.compose_chain(plan, n_steps=300)
+    # within tolerance, though farther off norm 1 than an input state may be
+    assert chained.deviation <= 2e-7
+    assert abs(np.linalg.norm(chained.ode_final) - 1.0) > 1e-10
+    # RK4 is linear, so a carried state keeps every stage's norm loss: the
+    # final norm is the product of the stages' norms, each run alone
+    first, second = plan.stages
+    plan.stages = [first]
+    alone = [cli.compose_chain(plan, n_steps=300).ode_final]
+    plan.stages = [dataclasses.replace(second, chi=chained.outcomes[1].chi_in, mu=chained.outcomes[1].mu_in)]
+    alone.append(cli.compose_chain(plan, n_steps=300).ode_final)
+    product = np.linalg.norm(alone[0]) * np.linalg.norm(alone[1])
+    assert np.linalg.norm(chained.ode_final) == pytest.approx(product, rel=0, abs=1e-14)
+
+
+def test_a_chain_stage_error_keeps_its_attributes(tmp_path):
+    with pytest.raises(pulseforge.IntegrationError) as info:
+        cli.compose_chain(load_plan(_short_chain(tmp_path)), n_steps=40)
+    assert str(info.value).startswith("stage 1 (prepare): state norm drifted by 2.37e-06")
+    assert info.value.exit_code == 4
+    assert info.value.drift == pytest.approx(2.37e-6, rel=1e-2)
+
+
+@pytest.mark.parametrize("stages, prefix, message", [
+    ([{"gate": "not", "chi": 0.3, "mu": 0.2},
+      {"gate": "transport", "A": 0.6, "B": 0.6, "lambda": 0.0}],
+     "stage 2 (transport)", "A^2 + B^2 = 0.72 must be 1 within 1e-10"),
+    ([{"gate": "not", "chi": 0.3, "mu": 0.2, "branch": 7}],
+     "stage 1 (not)", "branch index 7 out of range: 2 solution(s)"),
+    ([{"gate": "phase", "chi": 2.0, "mu": 0.2}],
+     "stage 1 (phase)", "chi must lie in [0, pi/2], got 2.0"),
+], ids=["amplitudes", "branch", "chi"])
+def test_every_chain_stage_value_error_names_its_stage(tmp_path, capsys, stages, prefix, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"system": {"delta_rad_per_s": REF_DELTA}, "stages": stages}))
+    assert main(["chain", "--plan", str(plan), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {prefix}: {message}\n"
