@@ -245,6 +245,8 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
     RK4 column is never renormalized, so its drift accumulates against the
     per-step limit.  A stage's error gains a ``stage N (gate): `` prefix.
     """
+    if not plan.stages:
+        raise PlanError("stages must be a non-empty list")
     outcomes: list[StageOutcome] = []
     for index, stage in enumerate(plan.stages, 1):
         prev = outcomes[-1] if outcomes else None

@@ -535,6 +535,13 @@ def test_a_chain_never_renormalizes_its_rk4_state(tmp_path):
     assert np.linalg.norm(chained.ode_final) == pytest.approx(product, rel=0, abs=1e-14)
 
 
+def test_a_chain_of_no_stages_is_a_plan_error(tmp_path):
+    plan = load_plan(_short_chain(tmp_path))
+    plan.stages = []
+    with pytest.raises(pulseforge.PlanError, match="stages must be a non-empty list"):
+        cli.compose_chain(plan)
+
+
 def test_a_chain_stage_error_keeps_its_attributes(tmp_path):
     with pytest.raises(pulseforge.IntegrationError) as info:
         cli.compose_chain(load_plan(_short_chain(tmp_path)), n_steps=40)

@@ -2,12 +2,12 @@
 
 Usage::
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 Each mutant replaces one exact piece of source text, found exactly once in
 its file, in a temporary copy of the tree (``src``, ``tests`` and
 ``pyproject.toml``), and runs its test subset there with pytest.  The tool
-prints one verdict a mutant, for every mutant or the named ones:
+prints one verdict a mutant:
 
 - ``killed``: the subset failed, so some test sees the edit;
 - ``survived``: the subset passed, so no test sees it;
@@ -21,7 +21,6 @@ mutant.  A change to a checked code path adds its mutants here.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -93,12 +92,12 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant, root: Path = ROOT) -> str:
+def run(mutant: Mutant) -> str:
     """The mutant's verdict: ``killed``, ``survived`` or ``error``."""
     with tempfile.TemporaryDirectory() as d:
         copy = Path(d)
         for name in TREE:
-            src = root / name
+            src = ROOT / name
             if src.is_dir():
                 shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
@@ -117,16 +116,9 @@ def run(mutant: Mutant, root: Path = ROOT) -> str:
     return {0: "survived", 1: "killed"}.get(result.returncode, "error")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutant(s) {unknown}; known: {sorted(known)}")
+def main() -> int:
     verdicts = []
-    for mutant in [known[n] for n in args.names] or MUTANTS:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         verdict = run(mutant)
         verdicts.append(verdict)
