@@ -22,7 +22,10 @@ and theta the constant coupling mixing angle:
 
 i.e. the spin-flip drive is resonant with the Zeeman splitting delta.
 :func:`h0_matrix` and :func:`full_hamiltonian` are single-instant views of
-the two; :func:`analytic_propagator` is the closed-form U(t).
+the two.  The closed-form U(t) has one writer too,
+:func:`propagator_entries`, entries first (4, 4, ...); each shared entry is
+evaluated once.  :func:`propagator_matrix` is a view of it with the entry
+axes last, and :func:`analytic_propagator` evaluates it along gamma(t).
 
 The diamond Hamiltonian commutes with the swap S|1> = |2>, S|3> = -|4>, so
 in the constant basis ``SECTOR_BASIS`` of S's eigenvectors it is two 2x2
@@ -295,35 +298,48 @@ def general_hamiltonian_check(
     return h
 
 
-def propagator_matrix(gamma, theta: float, delta: float, t) -> np.ndarray:
-    """Closed-form evolution operator for given gamma value(s) and time(s).
+def propagator_entries(gamma, theta: float, delta: float, t) -> np.ndarray:
+    """Closed-form evolution operator, entries first: shape (4, 4, ...).
 
-    Broadcasts over ``gamma`` and ``t``; returns shape (..., 4, 4).  The
-    (4, 1) entry is identically zero: direct |1> -> |4> transfer is
-    structurally forbidden by the diamond topology.
+    The one writer of the closed form.  Broadcasts over ``gamma`` and
+    ``t``; entry (i, j) is the array ``u[i, j]`` over their broadcast
+    shape, so a grid of nodes is one contiguous row per entry.  Each entry
+    shared by two positions is evaluated once.  The entries linking |1>
+    with |4> and |2> with |3> are written as zeros: the diamond has no
+    such links, so direct |1> -> |4> transfer is structurally forbidden.
     """
     g = np.asarray(gamma, dtype=float)
     tt = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(g.shape, tt.shape)
-    c = np.broadcast_to(np.cos(g), shape)
-    s = np.broadcast_to(np.sin(g), shape)
+    u = np.empty((4, 4) + np.broadcast(g, tt).shape, dtype=complex)
+    c = np.cos(g)
+    # an array, 0-d for a scalar call: a float64 scalar would take Python's
+    # complex products, which sign some zeros unlike numpy's
+    s = np.sin(g)[...]
     ct = math.cos(theta)
     st = math.sin(theta)
-    e = np.broadcast_to(np.exp(-1j * delta * tt), shape)
-    u = np.zeros(shape + (4, 4), dtype=complex)
-    u[..., 0, 0] = c
-    u[..., 0, 1] = -1j * ct * s
-    u[..., 0, 2] = 1j * st * s
-    u[..., 1, 0] = -1j * ct * s
-    u[..., 1, 1] = c
-    u[..., 1, 3] = -1j * st * s
-    u[..., 2, 0] = 1j * e * s * st
-    u[..., 2, 2] = e * c
-    u[..., 2, 3] = -1j * e * ct * s
-    u[..., 3, 1] = -1j * e * s * st
-    u[..., 3, 2] = -1j * e * ct * s
-    u[..., 3, 3] = e * c
+    e = np.exp(-1j * delta * tt)
+    u[0, 0] = u[1, 1] = c
+    u[0, 1] = u[1, 0] = -1j * ct * s
+    u[0, 2] = 1j * st * s
+    u[1, 3] = -1j * st * s
+    u[2, 0] = 1j * e * s * st
+    u[3, 1] = -1j * e * s * st
+    u[2, 2] = u[3, 3] = e * c
+    u[2, 3] = u[3, 2] = -1j * e * ct * s
+    u[0, 3] = u[1, 2] = u[2, 1] = u[3, 0] = 0.0
     return u
+
+
+def propagator_matrix(gamma, theta: float, delta: float, t) -> np.ndarray:
+    """Closed-form evolution operator for given gamma value(s) and time(s).
+
+    Broadcasts over ``gamma`` and ``t``; returns shape (..., 4, 4), a view
+    of :func:`propagator_entries` with the entry axes moved last.  The
+    (4, 1) entry is identically zero: direct |1> -> |4> transfer is
+    structurally forbidden by the diamond topology.
+    """
+    u = propagator_entries(gamma, theta, delta, t)
+    return u.transpose(*range(2, u.ndim), 0, 1)
 
 
 def analytic_propagator(angles: DiamondAngles, t: float, params: SystemParams) -> np.ndarray:

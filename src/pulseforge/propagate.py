@@ -31,8 +31,17 @@ Python iterations per block instead of one per step; a full log-depth
 scan would cost n log n products.  Each block then writes its states back
 in lab form, ``psi = SECTOR_BASIS c`` (sums and differences), so the norm
 is checked on the lab state at every step.  A stack of initial states
-rides through the same pass, so checking several probe states costs one
-integration.
+rides through the same pass.
+
+:func:`compare_analytic` integrates two states whatever its probes.  The
+RK4 propagator W and the closed form U both commute with S, so their
+columns |1> and |4> fix every entry (W|2> = S W|1>, W|3> = -S W|4>).  In
+S's eigenbasis, the coordinates of those two columns are the columns of
+each operator's two 2x2 sector blocks.  Each probe's norm and its gap to
+the closed form are quadratic forms in the per-node Gram matrices of W's
+blocks and of W - U's blocks.  The largest eigenvalue of a 2x2 Gram
+matrix has a closed form, so the operator 2-norm of W - U over the grid
+comes from the same Grams.
 
 The integrator is deterministic: fixed step, no adaptivity, pure numpy
 arithmetic in a fixed order, so repeated runs on one platform are
@@ -62,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqd import SECTOR_BASIS, check_normalized, hamiltonian, propagator_matrix, sector_hamiltonian
+from .dqd import SECTOR_BASIS, check_normalized, hamiltonian, propagator_entries, sector_hamiltonian
 from .errors import IntegrationError, UnsupportedComparisonError
 from .synth import ControlSchedule
 
@@ -260,12 +269,12 @@ def _block_states(steps: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
         np.copyto(out[full * SCAN_CHUNK:], chunk_states[full, :rest])
 
 
-def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _rk4_states(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States of every column of ``psi`` (shape (4, k)) on the grid: (n + 1, 4, k).
 
     Raises :class:`~pulseforge.errors.IntegrationError` when a sampled
-    control is not finite, or when any state's norm drifts by more than
-    NORM_DRIFT_LIMIT at any step, or is not finite.
+    control is not finite.  The norm drift is the caller's to check
+    (:func:`_check_drift`), on the states it reports.
     """
     if grid.t_end > schedule.T * (1.0 + 1e-12):
         raise ValueError(
@@ -286,8 +295,8 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
     states[0] = psi
     # sector coordinates c = SECTOR_BASIS^-1 psi, (sector, row, probe)
     np.multiply(0.5, (SECTOR_BASIS.T @ psi).reshape(2, 2, -1), out=ws.entry[0])
-    # a step matrix too large for RK4 overflows to inf and nan; the drift
-    # check below rejects every such state, so numpy need not warn of it
+    # a step matrix too large for RK4 overflows to inf and nan; the caller's
+    # drift check rejects every such state, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, TRANSFER_BLOCK):
             stop = min(start + TRANSFER_BLOCK, n)
@@ -300,13 +309,31 @@ def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGri
             _transfer_matrices(a, h, ws.steps[..., :m], ws.stages[..., :m])
             ws.steps[..., m:width] = _EYE2
             _block_states(ws.steps[..., :width], states[start + 1:stop + 1], ws)
-        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    return states
+
+
+def _check_drift(drift: float) -> None:
+    """Raise :class:`~pulseforge.errors.IntegrationError` unless ``drift``,
+    the largest |norm - 1| of the reported states, is within NORM_DRIFT_LIMIT."""
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"state norm drifted by {drift:.3g} (limit {NORM_DRIFT_LIMIT:g}); "
             "increase the number of integration steps",
             drift=drift,
         )
+
+
+def _integrate_columns(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """States of every column of ``psi`` (shape (4, k)) on the grid: (n + 1, 4, k).
+
+    Raises :class:`~pulseforge.errors.IntegrationError` when a sampled
+    control is not finite, or when any state's norm drifts by more than
+    NORM_DRIFT_LIMIT at any step, or is not finite.
+    """
+    states = _rk4_states(schedule, psi, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    _check_drift(drift)
     return states
 
 
@@ -343,8 +370,7 @@ def _closed_form(schedule: ControlSchedule, grid: TimeGrid) -> np.ndarray:
     angles = schedule.angles()
     times = grid.times
     gammas, _ = angles.gamma(times)
-    u = propagator_matrix(gammas, angles.theta, schedule.params.delta, times)
-    u = np.ascontiguousarray(u.transpose(1, 2, 0))
+    u = propagator_entries(gammas, angles.theta, schedule.params.delta, times)
     u.flags.writeable = False
     return u
 
@@ -369,13 +395,105 @@ def _unitarity_residual(schedule: ControlSchedule, grid: TimeGrid) -> float:
     return float(np.max(maxima))
 
 
+def _sector_coordinates(x: np.ndarray) -> np.ndarray:
+    """Twice the coordinates of lab vectors ``x``, (4, ...), in S's eigenbasis
+    |1> + |2>, |4> - |3> (sector +) and |1> - |2>, |3> + |4> (sector -):
+    shape (2, 2, ...) as (row, sector, ...).
+
+    These basis vectors are twice the projections of |1> and |4> onto the
+    two sectors (``SECTOR_BASIS`` with its |3> - |4> column negated), so
+    for an operator that commutes with S, the returned values of its columns
+    |1> and |4> are the two columns of its 2x2 block in each sector.  The
+    basis is orthogonal with norm sqrt(2): coordinates y give |x|^2 = 2 |y|^2.
+    """
+    out = np.empty((2, 2) + x.shape[1:], dtype=complex)
+    np.add(x[0], x[1], out=out[0, 0])
+    np.subtract(x[0], x[1], out=out[0, 1])
+    np.subtract(x[3], x[2], out=out[1, 0])
+    np.add(x[2], x[3], out=out[1, 1])
+    return out
+
+
+def _gram(blocks: np.ndarray) -> np.ndarray:
+    """Gram matrices ``B^dagger B`` of 2x2 sector blocks (row, sector, column, ...).
+
+    Returns (sector, 4, ...): the entries G00, G11, Re G01 and Im G01.
+    """
+    g = np.empty((2, 4) + blocks.shape[3:])
+    sq = np.square(blocks.real)
+    sq += np.square(blocks.imag)
+    np.add(sq[0], sq[1], out=g[:, :2])
+    off = np.conj(blocks[0, :, 0]) * blocks[0, :, 1]
+    off += np.conj(blocks[1, :, 0]) * blocks[1, :, 1]
+    g[:, 2] = off.real
+    g[:, 3] = off.imag
+    return g
+
+
+def _probe_norms_sq(gram: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """|X psi|^2 at every node, (k, n + 1), for each column psi of ``probes``
+    (4, k), from the sector Grams of an S-commuting X (:func:`_gram`)."""
+    y = 0.5 * _sector_coordinates(probes)
+    z = np.conj(y[0]) * y[1]
+    # y^dagger G y = |y0|^2 G00 + |y1|^2 G11 + 2 Re(conj(y0) y1 G01) per sector
+    w = np.stack([np.abs(y[0]) ** 2, np.abs(y[1]) ** 2, 2.0 * z.real, -2.0 * z.imag], axis=1)
+    # the basis vectors' norm is sqrt(2), so |X psi|^2 = 2 sum y^dagger G y
+    return 2.0 * (w.reshape(8, -1).T @ gram.reshape(8, -1))
+
+
+# the lab columns |1> and |4>; the others of an operator that commutes with
+# S are their S-images, U e2 = S U e1 and U e3 = -S U e4
+_COLUMNS = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
+
+
+@functools.lru_cache(maxsize=1)
+def _sector_grams(schedule: ControlSchedule, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Sector Grams (:func:`_gram`) of the RK4 propagator W and of its gap
+    W - U to the closed form, at the grid's nodes.
+
+    Both W and U commute with S, so their columns |1> and |4> fix every
+    entry, and RK4 integrates those two.  The last evaluation is kept, so
+    ``verify``'s operator gap reads the one ``compare_analytic`` made on
+    the same schedule and grid; both arrays are read-only.  The norm drift
+    is not checked here: it is each probe's, and ``compare_analytic`` reads
+    it from W's Gram.
+    """
+    lab = _rk4_states(schedule, _COLUMNS, grid).transpose(1, 2, 0)
+    u = _closed_form(schedule, grid)
+    # a state that overflowed is rejected by the drift check, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = _gram(_sector_coordinates(lab)), _gram(_sector_coordinates(lab - u[:, ::3]))
+    for g in grams:
+        g.flags.writeable = False
+    return grams
+
+
+def _operator_gap(schedule: ControlSchedule, grid: TimeGrid) -> float:
+    """Max over the grid's nodes of the operator 2-norm of W - U.
+
+    The gap is block-diagonal in S's orthogonal eigenbasis, so its 2-norm
+    is the larger of its two blocks' largest singular values, each the
+    square root of its Gram matrix's larger eigenvalue
+    ``(G00 + G11) / 2 + sqrt(((G00 - G11) / 2)^2 + |G01|^2)``.  Read it
+    after :func:`compare_analytic` on the same schedule and grid, which
+    checks the norm drift.
+    """
+    g00, g11, re, im = _sector_grams(schedule, grid)[1].transpose(1, 0, 2)
+    half = 0.5 * (g00 - g11)
+    top = 0.5 * (g00 + g11) + np.sqrt(half * half + re * re + im * im)
+    return math.sqrt(float(np.max(top)))
+
+
 def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid | None = None) -> float:
     """Max 2-norm gap between the integrated state and the closed form.
 
     ``psi0`` is one state, shape (4,), or a stack of them, shape (k, 4);
-    a stack is integrated in one pass and the max gap over all of its
-    states is returned.  Requires the schedule to carry its generating
-    drive angles; raises
+    the max gap over all of its states is returned.  RK4 integrates the
+    columns |1> and |4> once, and every state's norm and gap are read from
+    their sector Grams, so a stack costs no more integration than one
+    state.  Raises :class:`~pulseforge.errors.IntegrationError` when any
+    state's norm drifts by more than NORM_DRIFT_LIMIT at any node.
+    Requires the schedule to carry its generating drive angles; raises
     :class:`~pulseforge.errors.UnsupportedComparisonError` otherwise.
     """
     if schedule.angles() is None:
@@ -383,8 +501,8 @@ def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid
     if grid is None:
         grid = TimeGrid(schedule.T)
     probes = np.stack([check_normalized(p) for p in np.reshape(psi0, (-1, 4))], axis=1)
-    states = _integrate_columns(schedule, probes, grid)
-    # the gap is formed in place of the closed-form states, holding one copy
-    gap = _product(_closed_form(schedule, grid), probes[..., None]).transpose(2, 0, 1)
-    np.subtract(states, gap, out=gap)
-    return float(np.max(np.linalg.norm(gap, axis=1)))
+    w, gap = _sector_grams(schedule, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(np.max(np.abs(np.sqrt(_probe_norms_sq(w, probes)) - 1.0)))
+    _check_drift(drift)
+    return math.sqrt(float(np.max(_probe_norms_sq(gap, probes))))

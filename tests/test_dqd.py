@@ -25,7 +25,7 @@ from pulseforge import (
     quat_from_angles,
     right_qubit_state,
 )
-from pulseforge.dqd import SECTOR_BASIS, hamiltonian, sector_hamiltonian
+from pulseforge.dqd import SECTOR_BASIS, hamiltonian, propagator_entries, sector_hamiltonian
 
 
 def cosine_angles(theta, gamma_final, duration):
@@ -323,3 +323,56 @@ def test_sector_hamiltonian_broadcasts_like_hamiltonian(rng):
     np.testing.assert_array_equal(out, blocks)
     for i, j in np.ndindex(3, 5):
         np.testing.assert_array_equal(blocks[i, j], sector_hamiltonian(tau[i, j], alpha[j], 2.5))
+
+
+def reference_propagator_matrix(gamma, theta, delta, t):
+    """The closed form written one entry at a time, from broadcast views,
+    into a zeroed (..., 4, 4) array: the entries-first writer's reference."""
+    g = np.asarray(gamma, dtype=float)
+    tt = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(g.shape, tt.shape)
+    c = np.broadcast_to(np.cos(g), shape)
+    s = np.broadcast_to(np.sin(g), shape)
+    ct = math.cos(theta)
+    st_ = math.sin(theta)
+    e = np.broadcast_to(np.exp(-1j * delta * tt), shape)
+    u = np.zeros(shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = c
+    u[..., 0, 1] = -1j * ct * s
+    u[..., 0, 2] = 1j * st_ * s
+    u[..., 1, 0] = -1j * ct * s
+    u[..., 1, 1] = c
+    u[..., 1, 3] = -1j * st_ * s
+    u[..., 2, 0] = 1j * e * s * st_
+    u[..., 2, 2] = e * c
+    u[..., 2, 3] = -1j * e * ct * s
+    u[..., 3, 1] = -1j * e * s * st_
+    u[..., 3, 2] = -1j * e * ct * s
+    u[..., 3, 3] = e * c
+    return u
+
+
+def _assert_bit_equal(u, ref):
+    assert u.shape == ref.shape
+    assert np.ascontiguousarray(u).tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(gamma=EDGE_FLOATS, theta=EDGE_FLOATS, delta=EDGE_FLOATS, t=st.floats(min_value=0.0, max_value=1e-6))
+def test_entries_first_writer_is_bit_equal_to_the_reference_on_scalars(gamma, theta, delta, t):
+    _assert_bit_equal(propagator_matrix(gamma, theta, delta, t), reference_propagator_matrix(gamma, theta, delta, t))
+    _assert_bit_equal(propagator_entries(gamma, theta, delta, t), reference_propagator_matrix(gamma, theta, delta, t))
+
+
+@pytest.mark.parametrize("g_shape, t_shape", [((5, 1), (7,)), ((9,), ()), ((), (4, 3)), ((6,), (6,)), ((4001,), (4001,))])
+def test_entries_first_writer_is_bit_equal_to_the_reference_on_grids(g_shape, t_shape, rng):
+    for _ in range(20):
+        gamma = rng.uniform(-10.0, 10.0, size=g_shape)
+        t = rng.uniform(0.0, 1e-6, size=t_shape)
+        theta = rng.uniform(-4.0, 4.0)
+        delta = 10.0 ** rng.uniform(-3.0, 12.0)
+        ref = reference_propagator_matrix(gamma, theta, delta, t)
+        _assert_bit_equal(propagator_matrix(gamma, theta, delta, t), ref)
+        # entries first: entry (i, j) is one array over the broadcast shape
+        u = propagator_entries(gamma, theta, delta, t)
+        _assert_bit_equal(np.moveaxis(u, (0, 1), (-2, -1)), ref)

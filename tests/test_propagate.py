@@ -1,8 +1,11 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulseforge import (
     AnsatzSpec,
@@ -32,10 +35,12 @@ from pulseforge.propagate import (
     _closed_form,
     _hamiltonian_stack,
     _integrate_columns,
+    _operator_gap,
     _product,
+    _rk4_states,
     _unitarity_residual,
 )
-from conftest import random_unit_state
+from conftest import REF_DELTA, random_unit_state
 
 
 def verify_probes():
@@ -453,3 +458,87 @@ def test_blockwise_unitarity_residual_matches_the_whole_grid(n_steps, ref_prep_s
     u = _closed_form(ref_prep_schedule, grid)
     whole = float(np.max(np.abs(_product(np.conj(u.transpose(1, 0, 2)), u) - np.eye(4).reshape(4, 4, 1))))
     assert _unitarity_residual(ref_prep_schedule, grid) == whole
+
+
+@functools.lru_cache(maxsize=None)
+def _compare_schedule(family):
+    """A preparation whose closed form ``compare_analytic`` reads, its RK4
+    controls from the cosine ramp, the sampled ramp, or (interpolated) its
+    tunneling samples edited past the sample-gap tolerance, which RK4 plays
+    as linearly interpolated samples."""
+    params = SystemParams(delta=REF_DELTA)
+    if family == "sampled":
+        return _sampled_prep_schedule(params)
+    sched = synthesize_preparation(PrepareSpec(b2=0.5, b3=0.5j * math.sqrt(3.0)), params)
+    if family == "cosine":
+        return sched
+    return ControlSchedule(params=params, times=sched.times, tau=sched.tau * (1.0 + 1e-7), alpha=sched.alpha, meta=sched.meta)
+
+
+def _loop_closed_form(sched, grid):
+    angles = sched.angles()
+    gammas, _ = angles.gamma(grid.times)
+    return propagator_matrix(gammas, angles.theta, sched.params.delta, grid.times)
+
+
+COMPARE_FAMILIES = ["cosine", "sampled", "interpolated"]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    family=st.sampled_from(COMPARE_FAMILIES),
+    n_steps=st.sampled_from([15, 16, 17, 511, 513, 4000]),
+    n_random=st.integers(min_value=1, max_value=3),
+    with_verify_probes=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_column_gap_and_drift_match_the_probe_loop(family, n_steps, n_random, with_verify_probes, seed):
+    # RK4 integrates |1> and |4> only; every probe's gap and norm drift come
+    # from their sector Grams, and must match stepping each probe itself
+    sched = _compare_schedule(family)
+    grid = TimeGrid(sched.T, n_steps)
+    rng = np.random.default_rng(seed)
+    probes = [random_unit_state(rng) for _ in range(n_random)]
+    if with_verify_probes:
+        probes = [*verify_probes(), *probes]
+    loops = [loop_rk4(sched, p, grid) for p in probes]
+    drift = max(float(np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0))) for s in loops)
+    if drift > NORM_DRIFT_LIMIT:
+        with pytest.raises(IntegrationError, match="drifted by") as exc:
+            compare_analytic(sched, np.stack(probes), grid)
+        assert exc.value.drift == pytest.approx(drift, rel=1e-6)
+        return
+    u = _loop_closed_form(sched, grid)
+    loop_gap = max(float(np.max(np.linalg.norm(s - u @ p, axis=1))) for s, p in zip(loops, probes))
+    assert abs(compare_analytic(sched, np.stack(probes), grid) - loop_gap) <= 1e-13
+
+
+# S|1> = |2>, S|2> = |1>, S|3> = -|4>, S|4> = -|3>, as a row map and signs
+_S_ROWS = [1, 0, 3, 2]
+_S_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("n_steps", [15, 16, 17, 511, 513, 4000])
+@pytest.mark.parametrize("family", COMPARE_FAMILIES)
+def test_s_images_of_columns_one_and_four_are_the_direct_rk4_columns(family, n_steps):
+    # W e2 = S W e1 and W e3 = -S W e4, bit for bit (a zero's sign aside)
+    sched = _compare_schedule(family)
+    states = _rk4_states(sched, np.eye(4, dtype=complex), TimeGrid(sched.T, n_steps))
+    s_image_1 = states[:, _S_ROWS, 0] * _S_SIGNS
+    s_image_4 = states[:, _S_ROWS, 3] * -_S_SIGNS
+    assert (s_image_1 + 0.0).tobytes() == (states[:, :, 1] + 0.0).tobytes()
+    assert (s_image_4 + 0.0).tobytes() == (states[:, :, 2] + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [511, 4000])
+@pytest.mark.parametrize("family", COMPARE_FAMILIES)
+def test_operator_gap_bounds_every_probe_and_is_the_two_norm(family, n_steps, rng):
+    sched = _compare_schedule(family)
+    grid = TimeGrid(sched.T, n_steps)
+    probes = [*verify_probes(), *[random_unit_state(rng) for _ in range(8)]]
+    gaps = [compare_analytic(sched, p, grid) for p in probes]
+    operator_gap = _operator_gap(sched, grid)
+    assert operator_gap >= max(gaps)
+    # per node, the largest singular value of the full 4x4 gap
+    gap = _integrate_columns(sched, np.eye(4, dtype=complex), grid) - _loop_closed_form(sched, grid)
+    assert abs(operator_gap - float(np.max(np.linalg.norm(gap, ord=2, axis=(1, 2))))) <= 1e-15

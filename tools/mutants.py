@@ -34,11 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TREE = ("src", "tests", "pyproject.toml")
 
 CLI = "src/pulseforge/cli.py"
+DQD = "src/pulseforge/dqd.py"
 PROPAGATE = "src/pulseforge/propagate.py"
 
 # pytest arguments, run in the copy's root
 SUBSETS = {
     "chain": ("tests/test_cli.py", "tests/test_exit_contract.py", "-k", "chain"),
+    "dqd": ("tests/test_dqd.py",),
     "propagate": ("tests/test_propagate.py",),
 }
 
@@ -88,6 +90,36 @@ MUTANTS = (
         "if not drift <= NORM_DRIFT_LIMIT:",
         "if drift > NORM_DRIFT_LIMIT:",
         SUBSETS["propagate"],
+    ),
+    Mutant(
+        "sector-map-flips-the-sign-of-3", PROPAGATE,
+        "np.subtract(x[3], x[2], out=out[1, 0])",
+        "np.add(x[3], x[2], out=out[1, 0])",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "quadratic-form-drops-the-sector-factor-2", PROPAGATE,
+        "return 2.0 * (w.reshape(8, -1).T @ gram.reshape(8, -1))",
+        "return w.reshape(8, -1).T @ gram.reshape(8, -1)",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "drift-read-on-the-two-columns", PROPAGATE,
+        "np.sqrt(_probe_norms_sq(w, probes))",
+        "np.sqrt(_probe_norms_sq(w, _COLUMNS))",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "gap-over-the-first-probe-only", PROPAGATE,
+        "np.max(_probe_norms_sq(gap, probes))",
+        "np.max(_probe_norms_sq(gap, probes[:, :1]))",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "closed-form-swaps-ct-and-st-in-2-3", DQD,
+        "u[2, 3] = u[3, 2] = -1j * e * ct * s",
+        "u[2, 3] = u[3, 2] = -1j * e * st * s",
+        SUBSETS["dqd"],
     ),
 )
 
