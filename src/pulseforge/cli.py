@@ -447,6 +447,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _steps(text: str) -> int:
+    """A ``--steps`` value: an integer >= 2, the fewest steps a time grid has."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = 0
+    if steps < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return steps
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``pulseforge`` parser, built on the first call and shared after it.
@@ -468,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: plan io.out_dir or '.')")
         if steps:
             p.add_argument(
-                "--steps", type=int, default=DEFAULT_N_STEPS, help=f"integration steps (default {DEFAULT_N_STEPS})"
+                "--steps", type=_steps, default=DEFAULT_N_STEPS, help=f"integration steps (default {DEFAULT_N_STEPS})"
             )
         if tol:
             p.add_argument("--tol", type=_tolerance, default=1e-7, help="verification tolerance (default 1e-7)")

@@ -17,8 +17,10 @@ calling `repr` cell by cell.  The JSON export is laid out exactly as
 
 The reader takes the header lines up to the column line, then parses the
 whole body in one `np.loadtxt` call, which rounds each cell exactly as
-`float()` does.  A cell that is not a float, or a row without 4 cells, is
-reported at its file line, found from the row number loadtxt names.
+`float()` does.  A body that call refuses is read again a line at a time,
+counting the file's own lines: the first line with a cell that is not a
+float, or without 4 cells, is reported as `file:line:` followed by the
+parser's reason.
 
 Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
@@ -257,45 +259,29 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     _atomic_write(path, itertools.chain([("\n".join(lines) + "\n").encode()], _csv_rows(table)))
 
 
-# how loadtxt names the row it failed on: a cell it cannot convert by the
-# row's index among the data rows, a row of another width by their count
-_BAD_CELL = re.compile(r"(could not convert .*) at row (\d+), column (\d+)")
-_BAD_WIDTH = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
-
-
-def _data_line(body: list[str], first: int, row: int) -> int:
-    """File line number of data row ``row`` (from 0) of a body starting after line ``first``."""
-    data = (k for k, line in enumerate(body) if line and not line.startswith("#"))
-    return first + 1 + next(itertools.islice(data, row, None))
-
-
 def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
     """The (n, 4) samples of a schedule body, parsed in one loadtxt call.
 
     ``body`` holds the stripped lines after the column header, which is
-    file line ``first``.  A bad cell or a row of the wrong width raises
-    ScheduleFormatError naming its file line.
+    file line ``first``.  If that call fails or reads another width, the
+    body is parsed again a line at a time: the first line that loadtxt
+    refuses, or that has other than 4 cells, raises ScheduleFormatError
+    naming its file line.
     """
-    try:
+    with contextlib.suppress(ValueError):
         table = np.loadtxt(body, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        msg = str(exc)
-        cell, width = _BAD_CELL.search(msg), _BAD_WIDTH.search(msg)
-        if cell:
-            row, reason = int(cell[2]), f"{cell[1]} in column {cell[3]}"
-        elif width and width[1] != "4":
-            # the first row set the odd width
-            row, reason = 0, f"expected 4 columns, got {width[1]}"
-        elif width:
-            row, reason = int(width[3]) - 1, f"expected 4 columns, got {width[2]}"
-        else:
-            raise ScheduleFormatError(f"{path}: {msg}") from exc
-        raise ScheduleFormatError(f"{path}:{_data_line(body, first, row)}: {reason}") from exc
-    if table.shape[1] != 4:
-        raise ScheduleFormatError(
-            f"{path}:{_data_line(body, first, 0)}: expected 4 columns, got {table.shape[1]}"
-        )
-    return table
+        if table.shape[1] == 4:
+            return table
+    for lineno, line in enumerate(body, first + 1):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = np.loadtxt([line], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ScheduleFormatError(f"{path}:{lineno}: {exc}") from exc
+        if row.shape[1] != 4:
+            raise ScheduleFormatError(f"{path}:{lineno}: expected 4 columns, got {row.shape[1]}")
+    raise ScheduleFormatError(f"{path}: the samples do not parse as one table, though each line does")
 
 
 def read_schedule(path: str | Path) -> ControlSchedule:
@@ -528,7 +514,7 @@ def _parse_ansatz(obj) -> AnsatzSpec:
         kwargs["profile"] = (s, g)
     try:
         return AnsatzSpec(**kwargs)
-    except Exception as exc:
+    except InvalidAnsatzError as exc:
         raise PlanError(f"invalid ansatz: {exc}") from exc
 
 

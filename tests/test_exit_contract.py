@@ -564,3 +564,22 @@ def test_every_chain_stage_value_error_names_its_stage(tmp_path, capsys, stages,
     plan.write_text(json.dumps({"system": {"delta_rad_per_s": REF_DELTA}, "stages": stages}))
     assert main(["chain", "--plan", str(plan), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {prefix}: {message}\n"
+
+
+@pytest.mark.parametrize("steps", ["1", "0", "-3", "2.5", "many"])
+@pytest.mark.parametrize("command", ["verify", "simulate", "chain"])
+def test_steps_below_2_or_not_an_integer_is_a_usage_error(tol_inputs, capsys, command, steps):
+    argv = {**tol_inputs, "simulate": ["simulate", *tol_inputs["verify"][1:]]}[command]
+    # '=' form: argparse takes '-3' after a space for an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(Path(argv[2]).parent / "out"), f"--steps={steps}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pulseforge") and "argument --steps: must be an integer >= 2" in err
+    assert "stage" not in err
+
+
+def test_two_steps_is_the_fewest_that_run(tol_inputs, capsys):
+    # two steps over a whole gate drift far off norm 1: the integration ran
+    assert main(tol_inputs["verify"] + ["--steps", "2"]) == 4
+    assert capsys.readouterr().err.startswith("verification failure: state norm drifted by")

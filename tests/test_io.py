@@ -426,3 +426,60 @@ def test_schedule_and_grid_reject_non_finite_times(ref_params, value):
         ControlSchedule(params=ref_params, times=[0.0, value, 2.0], tau=[0.0] * 3, alpha=[0.0] * 3)
     with pytest.raises(ValueError, match="finite"):
         TimeGrid(value)
+
+
+def test_a_reworded_whole_body_error_still_names_the_line(tmp_path, ref_prep_schedule, monkeypatch):
+    path = tmp_path / "s.csv"
+    write_schedule(path, ref_prep_schedule)
+    lines = path.read_text().splitlines()
+    k = lines.index(SCHEDULE_COLUMNS)
+    lines[k + 5] = "1e-12,x,0.0,0.0"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    loadtxt = np.loadtxt
+
+    def reworded(rows, *args, **kwargs):
+        # the whole body fails with a message naming no row; one line reaches numpy
+        if len(rows) > 1:
+            raise ValueError("reworded")
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", reworded)
+    with pytest.raises(ScheduleFormatError, match=rf"bad\.csv:{k + 6}: could not convert string 'x'"):
+        read_schedule(bad)
+
+
+_BAD_ROWS = {
+    "1e-12,x,0.0,0.0": "could not convert string 'x'",
+    "1e-12,0.0,,0.0": "could not convert string ''",
+    "1_0,0.0,0.0,0.0": "could not convert string '1_0'",
+    "1e-12,0.0,0.0": "expected 4 columns, got 3",
+    "1e-12,0.0,0.0,0.0,0.0": "expected 4 columns, got 5",
+}
+_FILLERS = ("", "   ", "#", "# a comment")
+
+
+@settings(deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    data=st.data(),
+    bad=st.sampled_from(sorted(_BAD_ROWS)),
+)
+def test_the_error_names_the_bad_row_among_blank_comment_and_crlf_lines(n_rows, data, bad):
+    at = data.draw(st.integers(0, n_rows), label="bad position")
+    rows = [f"{k * 1e-12!r},0.0,0.0,0.0" for k in range(n_rows)]
+    rows.insert(at, bad)
+    lines = ["# delta=1.0", SCHEDULE_COLUMNS]
+    for k, row in enumerate(rows):
+        lines += data.draw(st.lists(st.sampled_from(_FILLERS), max_size=3), label="fillers")
+        if k == at:
+            lineno = len(lines) + 1
+        lines.append(row)
+    lines += data.draw(st.lists(st.sampled_from(_FILLERS), max_size=3), label="trailing fillers")
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)),
+                     label="line ends")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.csv"
+        path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+        with pytest.raises(ScheduleFormatError, match=rf"bad\.csv:{lineno}: {re.escape(_BAD_ROWS[bad])}"):
+            read_schedule(path)

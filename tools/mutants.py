@@ -35,12 +35,16 @@ TREE = ("src", "tests", "pyproject.toml")
 
 CLI = "src/pulseforge/cli.py"
 DQD = "src/pulseforge/dqd.py"
+IO = "src/pulseforge/io.py"
 PROPAGATE = "src/pulseforge/propagate.py"
+SYNTH = "src/pulseforge/synth.py"
 
 # pytest arguments, run in the copy's root
 SUBSETS = {
     "chain": ("tests/test_cli.py", "tests/test_exit_contract.py", "-k", "chain"),
     "dqd": ("tests/test_dqd.py",),
+    "exit-contract": ("tests/test_exit_contract.py",),
+    "io": ("tests/test_io.py",),
     "propagate": ("tests/test_propagate.py",),
 }
 
@@ -120,6 +124,36 @@ MUTANTS = (
         "u[2, 3] = u[3, 2] = -1j * e * ct * s",
         "u[2, 3] = u[3, 2] = -1j * e * st * s",
         SUBSETS["dqd"],
+    ),
+    Mutant(
+        "bad-row-numbered-from-the-column-line", IO,
+        "enumerate(body, first + 1)",
+        "enumerate(body, first)",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "bad-row-width-unchecked", IO,
+        "if row.shape[1] != 4:",
+        "if False:",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "verify-ignores-the-sample-gap", CLI,
+        "ok = ok and schedule.sample_gap <= args.tol",
+        "ok = ok",
+        SUBSETS["exit-contract"],
+    ),
+    Mutant(
+        "non-finite-controls-integrated", PROPAGATE,
+        "if not finite.all():",
+        "if False:",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "sample-gap-drops-its-non-finite-guard", SYNTH,
+        "if angles is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):",
+        "if angles is None:",
+        SUBSETS["propagate"],
     ),
 )
 
