@@ -33,15 +33,15 @@ in lab form, ``psi = SECTOR_BASIS c`` (sums and differences), so the norm
 is checked on the lab state at every step.  A stack of initial states
 rides through the same pass.
 
-:func:`compare_analytic` integrates two states whatever its probes.  The
-RK4 propagator W and the closed form U both commute with S, so their
-columns |1> and |4> fix every entry (W|2> = S W|1>, W|3> = -S W|4>).  In
-S's eigenbasis, the coordinates of those two columns are the columns of
-each operator's two 2x2 sector blocks.  Each probe's norm and its gap to
-the closed form are quadratic forms in the per-node Gram matrices of W's
-blocks and of W - U's blocks.  The largest eigenvalue of a 2x2 Gram
-matrix has a closed form, so the operator 2-norm of W - U over the grid
-comes from the same Grams.
+:func:`verify` evaluates the closed form U once and integrates two
+states whatever its probes.  W, the RK4 propagator, and U both commute
+with S, so their columns |1> and |4> fix every entry (W|2> = S W|1>,
+W|3> = -S W|4>).  In S's eigenbasis, the coordinates of those two columns
+are the columns of each operator's two 2x2 sector blocks.  Each probe's
+norm and its gap to the closed form are quadratic forms in the per-node
+Gram matrices of W's blocks and of W - U's blocks.  The largest
+eigenvalue of a 2x2 Gram matrix has a closed form, so the operator 2-norm
+of W - U over the grid comes from the same Grams.  Nothing outlives the call.
 
 The integrator is deterministic: fixed step, no adaptivity, pure numpy
 arithmetic in a fixed order, so repeated runs on one platform are
@@ -54,18 +54,18 @@ states reuse) and every block writes into them with ``out=``.  Without
 that, the allocator may hand a block's temporaries back to the system and
 fault them in again for the next block.
 
-:func:`compare_analytic` is the one place a schedule without a usable
-drive-angle ramp is refused: it raises
+:func:`verify` is the one place a schedule without a usable drive-angle
+ramp is refused (:func:`compare_analytic` refuses it before it builds its
+default grid): it raises
 :class:`~pulseforge.errors.UnsupportedComparisonError` with the reason
 ``ControlSchedule.ramp_refusal`` gives (missing theta/gamma_final headers,
 an unknown family, a sampled ansatz without knots, or a slope scale past
-the float range), and ``verify`` relies on it.  The closed form reads the
-schedule's one resolved ramp (``ControlSchedule.angles()``).
+the float range).  The closed form reads the schedule's one resolved ramp
+(``ControlSchedule.angles()``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -359,29 +359,23 @@ def fidelity_trace(traj: Trajectory, target: np.ndarray) -> FidelityTrace:
     return FidelityTrace(times=traj.times, fidelity=np.abs(overlaps) ** 2)
 
 
-@functools.lru_cache(maxsize=1)
 def _closed_form(schedule: ControlSchedule, grid: TimeGrid) -> np.ndarray:
-    """Closed-form U at the grid's nodes, entries first (4, 4, n + 1), read-only.
+    """Closed-form U at the grid's nodes, entries first (4, 4, n + 1).
 
-    The schedule must carry its drive angles.  The last evaluation is kept,
-    so ``verify``'s unitarity residual reads the one ``compare_analytic``
-    made on the same schedule and grid.
+    The schedule must carry its drive angles.
     """
     angles = schedule.angles()
     times = grid.times
     gammas, _ = angles.gamma(times)
-    u = propagator_entries(gammas, angles.theta, schedule.params.delta, times)
-    u.flags.writeable = False
-    return u
+    return propagator_entries(gammas, angles.theta, schedule.params.delta, times)
 
 
-def _unitarity_residual(schedule: ControlSchedule, grid: TimeGrid) -> float:
-    """Max |U^dagger U - 1| entry of the closed form over the grid's nodes.
+def _unitarity(u: np.ndarray) -> float:
+    """Max |U^dagger U - 1| entry of closed-form entries ``u`` (4, 4, n + 1).
 
     The Gram matrices are formed TRANSFER_BLOCK nodes at a time in one
     buffer, so the check holds one block's products whatever the grid size.
     """
-    u = _closed_form(schedule, grid)
     n = u.shape[-1]
     buf = np.empty((3, 4, 4, min(n, TRANSFER_BLOCK)), dtype=complex)
     maxima = np.empty(-(-n // TRANSFER_BLOCK))
@@ -393,6 +387,11 @@ def _unitarity_residual(schedule: ControlSchedule, grid: TimeGrid) -> float:
         maxima[i] = np.max(np.abs(gram, out=tmp.real))
     # np.max, not a running max, so that a NaN entry anywhere reads as NaN
     return float(np.max(maxima))
+
+
+def _unitarity_residual(schedule: ControlSchedule, grid: TimeGrid) -> float:
+    """Max |U^dagger U - 1| entry of the closed form over the grid's nodes."""
+    return _unitarity(_closed_form(schedule, grid))
 
 
 def _sector_coordinates(x: np.ndarray) -> np.ndarray:
@@ -446,42 +445,41 @@ def _probe_norms_sq(gram: np.ndarray, probes: np.ndarray) -> np.ndarray:
 _COLUMNS = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
 
 
-@functools.lru_cache(maxsize=1)
-def _sector_grams(schedule: ControlSchedule, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Sector Grams (:func:`_gram`) of the RK4 propagator W and of its gap
-    W - U to the closed form, at the grid's nodes.
+def verify(schedule: ControlSchedule, probes: np.ndarray, grid: TimeGrid) -> tuple[float, float, float]:
+    """Probe gap, operator gap and unitarity residual of one evaluation.
 
-    Both W and U commute with S, so their columns |1> and |4> fix every
-    entry, and RK4 integrates those two.  The last evaluation is kept, so
-    ``verify``'s operator gap reads the one ``compare_analytic`` made on
-    the same schedule and grid; both arrays are read-only.  The norm drift
-    is not checked here: it is each probe's, and ``compare_analytic`` reads
-    it from W's Gram.
+    ``probes`` holds unit states as columns, (4, k).  The gaps are the max
+    over the nodes of each probe's 2-norm gap and of the operator 2-norm of
+    W - U.  The latter is block-diagonal in S's orthogonal eigenbasis, so
+    its 2-norm is the larger of its blocks' largest singular values, each
+    the square root of its Gram matrix's larger eigenvalue
+    ``(G00 + G11) / 2 + sqrt(((G00 - G11) / 2)^2 + |G01|^2)``.
+
+    Raises :class:`~pulseforge.errors.UnsupportedComparisonError` without a
+    usable drive-angle ramp, and :class:`~pulseforge.errors.IntegrationError`
+    when any probe's norm drifts by more than NORM_DRIFT_LIMIT at any node,
+    before any gap is read.
     """
-    lab = _rk4_states(schedule, _COLUMNS, grid).transpose(1, 2, 0)
+    if schedule.angles() is None:
+        raise UnsupportedComparisonError(f"{schedule.ramp_refusal}; cannot verify")
     u = _closed_form(schedule, grid)
+    lab = _rk4_states(schedule, _COLUMNS, grid).transpose(1, 2, 0)
     # a state that overflowed is rejected by the drift check, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = _gram(_sector_coordinates(lab)), _gram(_sector_coordinates(lab - u[:, ::3]))
-    for g in grams:
-        g.flags.writeable = False
-    return grams
+        w = _gram(_sector_coordinates(lab))
+        gap = _gram(_sector_coordinates(lab - u[:, ::3]))
+        drift = float(np.max(np.abs(np.sqrt(_probe_norms_sq(w, probes)) - 1.0)))
+    _check_drift(drift)
+    probe_gap = math.sqrt(float(np.max(_probe_norms_sq(gap, probes))))
+    g00, g11, re, im = gap.transpose(1, 0, 2)
+    half = 0.5 * (g00 - g11)
+    top = 0.5 * (g00 + g11) + np.sqrt(half * half + re * re + im * im)
+    return probe_gap, math.sqrt(float(np.max(top))), _unitarity(u)
 
 
 def _operator_gap(schedule: ControlSchedule, grid: TimeGrid) -> float:
-    """Max over the grid's nodes of the operator 2-norm of W - U.
-
-    The gap is block-diagonal in S's orthogonal eigenbasis, so its 2-norm
-    is the larger of its two blocks' largest singular values, each the
-    square root of its Gram matrix's larger eigenvalue
-    ``(G00 + G11) / 2 + sqrt(((G00 - G11) / 2)^2 + |G01|^2)``.  Read it
-    after :func:`compare_analytic` on the same schedule and grid, which
-    checks the norm drift.
-    """
-    g00, g11, re, im = _sector_grams(schedule, grid)[1].transpose(1, 0, 2)
-    half = 0.5 * (g00 - g11)
-    top = 0.5 * (g00 + g11) + np.sqrt(half * half + re * re + im * im)
-    return math.sqrt(float(np.max(top)))
+    """Max over the grid's nodes of the operator 2-norm of W - U (:func:`verify`)."""
+    return verify(schedule, _COLUMNS, grid)[1]
 
 
 def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid | None = None) -> float:
@@ -501,8 +499,4 @@ def compare_analytic(schedule: ControlSchedule, psi0: np.ndarray, grid: TimeGrid
     if grid is None:
         grid = TimeGrid(schedule.T)
     probes = np.stack([check_normalized(p) for p in np.reshape(psi0, (-1, 4))], axis=1)
-    w, gap = _sector_grams(schedule, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = float(np.max(np.abs(np.sqrt(_probe_norms_sq(w, probes)) - 1.0)))
-    _check_drift(drift)
-    return math.sqrt(float(np.max(_probe_norms_sq(gap, probes))))
+    return verify(schedule, probes, grid)[0]

@@ -982,3 +982,57 @@ def test_an_input_that_is_not_utf8_raises_the_readers_error(tmp_path):
         read_schedule(path)
     with pytest.raises(PlanError, match="cannot read plan"):
         load_plan(path)
+
+
+# ------------------------------------------------- verify's one evaluation
+
+
+def test_verify_names_a_one_sample_schedule(tmp_path, capsys):
+    sched = tmp_path / "zero.csv"
+    sched.write_text(
+        "# delta=1000000000.0\n# T=0.0\nt,tau,re_alpha,im_alpha\n0.0,0.0,0.0,0.0\n"
+    )
+    assert main(["verify", "--schedule", str(sched)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {sched}: one sample spans T = 0 s, nothing to verify\n"
+
+
+def test_verify_keeps_no_schedule_alive(tmp_path, monkeypatch, capsys):
+    import gc
+    import weakref
+
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 0
+    refs = []
+
+    def read_and_watch(path):
+        schedule = read_schedule(path)
+        refs.append(weakref.ref(schedule))
+        return schedule
+
+    monkeypatch.setattr(cli, "read_schedule", read_and_watch)
+    assert main(["verify", "--schedule", str(out / "stage01_not.csv")]) == 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+
+
+def test_one_verify_op_integrates_once_and_evaluates_the_closed_form_once(tmp_path, monkeypatch, capsys):
+    from pulseforge import propagate
+
+    out = tmp_path / "out"
+    assert main(["gate", "--plan", not_plan(tmp_path, out)]) == 0
+    calls = {"_rk4_states": 0, "propagator_entries": 0}
+
+    def counted(name):
+        original = getattr(propagate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(propagate, name, counted(name))
+    assert main(["verify", "--schedule", str(out / "stage01_not.csv")]) == 0
+    assert calls == {"_rk4_states": 1, "propagator_entries": 1}

@@ -29,3 +29,9 @@ def test_a_no_op_edit_survives():
 
 def test_an_edit_whose_text_is_missing_is_an_error():
     assert mutants.run(dataclasses.replace(KNOWN, old="no such source text")) == "error"
+
+
+def test_every_mutant_finds_its_text_exactly_once():
+    # a refactor that orphans a mutant fails here, not only in the slow tool
+    orphans = [m.name for m in mutants.MUTANTS if (mutants.ROOT / m.path).read_text().count(m.old) != 1]
+    assert orphans == []

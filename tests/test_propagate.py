@@ -542,3 +542,11 @@ def test_operator_gap_bounds_every_probe_and_is_the_two_norm(family, n_steps, rn
     # per node, the largest singular value of the full 4x4 gap
     gap = _integrate_columns(sched, np.eye(4, dtype=complex), grid) - _loop_closed_form(sched, grid)
     assert abs(operator_gap - float(np.max(np.linalg.norm(gap, ord=2, axis=(1, 2))))) <= 1e-15
+
+
+def test_operator_gap_alone_checks_the_drift():
+    # the 100 ns not gate drifts past the limit at the default 4000 steps;
+    # read alone, the operator gap must refuse it, not report a number
+    sched = synthesize_gate(NotGateSpec(chi=0.3, mu=0.2), SystemParams(delta=math.pi * 1e9), AnsatzSpec(T=1e-7))
+    with pytest.raises(IntegrationError, match="drifted by"):
+        _operator_gap(sched, TimeGrid(sched.T, DEFAULT_N_STEPS))

@@ -120,6 +120,30 @@ MUTANTS = (
         SUBSETS["propagate"],
     ),
     Mutant(
+        "operator-gap-takes-the-smaller-eigenvalue", PROPAGATE,
+        "+ np.sqrt(",
+        "- np.sqrt(",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "unitarity-residual-keeps-the-identity", PROPAGATE,
+        "gram -= _EYE",
+        "gram -= 0.0",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "one-evaluation-skips-the-drift-check", PROPAGATE,
+        "    _check_drift(drift)\n    probe_gap = ",
+        "    probe_gap = ",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "operator-gap-read-from-w", PROPAGATE,
+        "g00, g11, re, im = gap.transpose(1, 0, 2)",
+        "g00, g11, re, im = w.transpose(1, 0, 2)",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
         "closed-form-swaps-ct-and-st-in-2-3", DQD,
         "u[2, 3] = u[3, 2] = -1j * e * ct * s",
         "u[2, 3] = u[3, 2] = -1j * e * st * s",
