@@ -43,11 +43,13 @@ from .io import (
 )
 from .propagate import (
     DEFAULT_N_STEPS,
+    STEP_BUDGET,
     TimeGrid,
     Trajectory,
     _integrate_columns,
     fidelity_trace,
     integrate,
+    steps_for,
     verify,
 )
 from .synth import (
@@ -64,6 +66,7 @@ TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_VERIFY = 4
+DEFAULT_TOL = 1e-7
 # the word main prints before an error's message, by the error's exit code
 _LABELS = {2: "error", 3: "infeasible", 4: "verification failure"}
 
@@ -150,6 +153,7 @@ class StageOutcome:
     chi_in: float
     mu_in: float
     t_start: float
+    steps: int
 
     @property
     def gate(self) -> str:
@@ -232,7 +236,9 @@ def _input_qubit(stage: StagePlan, prev: StageOutcome | None) -> tuple[float, fl
     return inherited
 
 
-def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT_N_STEPS) -> ChainResult:
+def compose_chain(
+    plan: PlanDocument, branch="min-theta", n_steps: int | None = None, tol: float = DEFAULT_TOL
+) -> ChainResult:
     """Run every stage of a plan sequentially along the dot chain.
 
     A stage's output qubit on (|2>, |3>) becomes the next stage's input on
@@ -242,7 +248,9 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
 
     The closed-form and RK4 states are the columns of one (4, 2) stack; the
     RK4 column is never renormalized, so its drift accumulates against the
-    per-step limit.  A stage's error gains a ``stage N (gate): `` prefix.
+    per-step limit.  Each stage takes ``n_steps`` RK4 steps, or, when it is
+    None, the count ``steps_for`` derives from the stage's pulse and ``tol``.
+    A stage's error gains a ``stage N (gate): `` prefix.
     """
     if not plan.stages:
         raise PlanError("stages must be a non-empty list")
@@ -256,13 +264,14 @@ def compose_chain(plan: PlanDocument, branch="min-theta", n_steps: int = DEFAULT
                    else np.stack([left_qubit_state(chi_in, mu_in)] * 2, axis=1))
             spec = materialize(stage, chi_in, mu_in)
             schedule, analytic = _run_stage(stage, spec, plan.system, branch, psi[:, 0])
-            grid = TimeGrid(schedule.T, n_steps)
+            steps = n_steps if n_steps is not None else steps_for(schedule, tol)
+            grid = TimeGrid(schedule.T, steps)
             # one expression, so that no name keeps the stage's states alive into the next
             psi = np.column_stack([analytic, _integrate_columns(schedule, psi[:, 1:], grid)[-1]])
         except (PulseforgeError, ValueError) as exc:
             exc.args = (f"stage {index} ({stage.gate}): {exc}",)
             raise
-        outcomes.append(StageOutcome(index, spec, schedule, chi_in, mu_in, prev.t_end if prev else 0.0))
+        outcomes.append(StageOutcome(index, spec, schedule, chi_in, mu_in, prev.t_end if prev else 0.0, steps))
     return ChainResult(outcomes=outcomes, analytic_final=psi[:, 0], ode_final=psi[:, 1])
 
 
@@ -288,6 +297,7 @@ def _stage_report_dict(outcome: StageOutcome, filename: str) -> dict:
             "bloch": list(outcome.output_bloch),
         },
         "schedule_file": filename,
+        "steps": outcome.steps,
     }
 
 
@@ -346,8 +356,9 @@ def cmd_simulate(args) -> int:
         tau = np.array([schedule.tau[0]])
         alpha = np.array([schedule.alpha[0]])
     else:
-        grid = TimeGrid(schedule.T, args.steps)
-        traj = integrate(schedule, psi0, grid)
+        # at least DEFAULT_N_STEPS, so a short pulse keeps its trajectory rows
+        steps = args.steps if args.steps is not None else max(DEFAULT_N_STEPS, steps_for(schedule))
+        traj = integrate(schedule, psi0, TimeGrid(schedule.T, steps))
         tau, alpha = schedule.controls_at(traj.times)
     trace = fidelity_trace(traj, target if target is not None else psi0)
 
@@ -369,7 +380,10 @@ def cmd_verify(args) -> int:
     schedule = read_schedule(args.schedule)
     if schedule.T == 0.0:
         raise UnsupportedComparisonError(f"{args.schedule}: one sample spans T = 0 s, nothing to verify")
-    grid = TimeGrid(schedule.T, args.steps)
+    if args.steps is not None:
+        steps, source = args.steps, "--steps"
+    else:
+        steps, source = steps_for(schedule, args.tol), f"derived for tol {args.tol:.3e}"
 
     probes = np.stack([
         basis_state(1),
@@ -377,10 +391,11 @@ def cmd_verify(args) -> int:
         left_qubit_state(0.25 * math.pi, 0.0),
         left_qubit_state(0.25 * math.pi, 0.5 * math.pi),
     ], axis=1)
-    max_error, operator_gap, unitarity = verify(schedule, probes, grid)
+    max_error, operator_gap, unitarity = verify(schedule, probes, TimeGrid(schedule.T, steps))
 
     # PASS is decided on the probes; the operator gap is reported only
     ok = max_error <= args.tol
+    print(f"integration steps: {steps} ({source})")
     print(f"max |numeric - analytic| over {probes.shape[1]} probe states: {max_error:.3e}")
     print(f"max ||U_numeric - U_analytic||_2 over the grid: {operator_gap:.3e}")
     print(f"max unitarity residual of the closed form: {unitarity:.3e}")
@@ -394,7 +409,7 @@ def cmd_verify(args) -> int:
 
 def cmd_chain(args) -> int:
     plan = load_plan(args.plan)
-    result = compose_chain(plan, branch=args.branch, n_steps=args.steps)
+    result = compose_chain(plan, branch=args.branch, n_steps=args.steps, tol=args.tol)
     out_dir = _out_dir(args, plan)
 
     stage_dicts = []
@@ -445,13 +460,14 @@ def _tolerance(text: str) -> float:
 
 
 def _steps(text: str) -> int:
-    """A ``--steps`` value: an integer >= 2, the fewest steps a time grid has."""
+    """A ``--steps`` value: an integer from 2, the fewest steps a time grid
+    has, to STEP_BUDGET, the most one integration takes."""
     try:
         steps = int(text)
     except ValueError:
         steps = 0
-    if steps < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    if not 2 <= steps <= STEP_BUDGET:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2 and <= {STEP_BUDGET}, got {text!r}")
     return steps
 
 
@@ -475,11 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--schedule", required=True, help="schedule file")
         p.add_argument("--out", default=None, help="output directory (default: plan io.out_dir or '.')")
         if steps:
+            derived = "--tol" if tol else f"the norm-drift limit, at least {DEFAULT_N_STEPS}"
             p.add_argument(
-                "--steps", type=_steps, default=DEFAULT_N_STEPS, help=f"integration steps (default {DEFAULT_N_STEPS})"
+                "--steps", type=_steps, default=None,
+                help=f"integration steps, at most {STEP_BUDGET} (default: derived from the pulse and {derived})",
             )
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-7, help="verification tolerance (default 1e-7)")
+            p.add_argument(
+                "--tol", type=_tolerance, default=DEFAULT_TOL, help="verification tolerance (default 1e-7)"
+            )
         if branch:
             p.add_argument(
                 "--branch",

@@ -72,12 +72,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqd import SECTOR_BASIS, check_normalized, hamiltonian, propagator_entries, sector_hamiltonian
-from .errors import IntegrationError, UnsupportedComparisonError
+from .errors import IntegrationError, PulseforgeError, UnsupportedComparisonError
 from .synth import ControlSchedule
 
 DEFAULT_N_STEPS = 4000
 
 NORM_DRIFT_LIMIT = 1e-6
+
+# the most steps one integration takes: verify's peak grows by about 0.8 kB
+# a step, so this many keep it near 200 MB
+STEP_BUDGET = 250_000
+
+# points at which steps_for reads the drive of an ansatz that RK4 plays
+DRIVE_POINTS = 257
 
 # steps whose transfer matrices are built at once; bounds the working set
 # (8 complex entries per step, two sectors' 2x2 matrices) whatever the grid size
@@ -141,6 +148,55 @@ class FidelityTrace:
 
     times: np.ndarray
     fidelity: np.ndarray
+
+
+def _peak_drive(tau: np.ndarray, alpha: np.ndarray) -> float:
+    """The largest finite sqrt(tau^2 + |alpha|^2), or 0.0 when none is finite."""
+    drive = np.hypot(tau, np.abs(alpha))
+    return float(np.max(drive, where=np.isfinite(drive), initial=0.0))
+
+
+def steps_for(schedule: ControlSchedule, tol: float = 0.0) -> int:
+    """The fewest RK4 steps whose predicted errors stay under a tenth of
+    ``tol`` and of NORM_DRIFT_LIMIT.
+
+    On the imaginary axis RK4's stability function R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24 (Hairer and Wanner, *Solving ODEs II*, §IV.2) loses
+    about y^6 / 144 of the norm per step of y = h omega, and about y^5 / 120
+    of the phase.  Over n steps of a pulse with x = T omega that is a norm
+    loss of x^6 / (144 n^5) and a phase error of x^5 / (120 n^4).  omega
+    bounds ||H||: |delta| plus the largest finite sqrt(tau^2 + |alpha|^2)
+    of the samples and, where RK4 plays the ansatz, of the ansatz at
+    DRIVE_POINTS times (a non-finite sample is the integration's to
+    reject).  A ``tol`` of 0 bounds the norm loss alone: no count meets it,
+    and any gap fails it.
+
+    The estimate assumes a smooth pulse.  So DEFAULT_N_STEPS is a floor
+    where RK4 plays the samples linearly interpolated, and for the sampled
+    ansatz: its cubic spline's third derivative jumps at the knots, and
+    there RK4's error depends on where the knots fall within the steps.
+
+    Raises :class:`~pulseforge.errors.PulseforgeError` (exit 2) when omega
+    is not finite or the count is past STEP_BUDGET.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = _peak_drive(schedule.tau, schedule.alpha)
+        if schedule._samples_match_angles:
+            # RK4 plays the ansatz, which may peak between sparse samples
+            peak = max(peak, _peak_drive(*schedule.controls_at(np.linspace(0.0, schedule.T, DRIVE_POINTS))))
+        omega = abs(schedule.params.delta) + peak
+        x = np.float64(schedule.T) * omega
+        need = x ** 1.2 / (144.0 * (NORM_DRIFT_LIMIT / 10.0)) ** 0.2
+        if tol > 0.0:
+            need = max(need, x ** 1.25 / (120.0 * (tol / 10.0)) ** 0.25)
+    if not need <= STEP_BUDGET:
+        raise PulseforgeError(
+            f"RK4 needs about {need:.3g} steps for T * omega = {x:.3g} rad at tol {tol:.3e}, "
+            f"past the budget of {STEP_BUDGET}; pass --steps (at most {STEP_BUDGET}) to choose the count"
+        )
+    n = max(2, math.ceil(need))
+    smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"
+    return n if smooth else max(n, DEFAULT_N_STEPS)
 
 
 def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float) -> np.ndarray:

@@ -474,6 +474,8 @@ class ControlSchedule:
         if angles is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):
             return math.inf
         _, gdot = angles.gamma(self.times)
+        # build_schedule pins the end samples to exactly 0, where the slope vanishes
+        gdot[[0, -1]] = 0.0
         refs = drive_controls(gdot, self.meta.theta, self.params.delta, self.times)
         gap = 0.0
         for samples, ref in zip((self.tau, self.alpha), refs):

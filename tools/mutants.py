@@ -46,6 +46,7 @@ SUBSETS = {
     "exit-contract": ("tests/test_exit_contract.py",),
     "io": ("tests/test_io.py",),
     "propagate": ("tests/test_propagate.py",),
+    "steps": ("tests/test_steps.py",),
 }
 
 
@@ -178,6 +179,36 @@ MUTANTS = (
         "if angles is None or not (np.isfinite(self.tau).all() and np.isfinite(self.alpha).all()):",
         "if angles is None:",
         SUBSETS["propagate"],
+    ),
+    Mutant(
+        "derived-steps-meet-tol-not-a-tenth", PROPAGATE,
+        "(120.0 * (tol / 10.0))",
+        "(120.0 * tol)",
+        SUBSETS["steps"],
+    ),
+    Mutant(
+        "derived-steps-linear-in-the-pulse", PROPAGATE,
+        "x ** 1.25",
+        "x ** 1.0",
+        SUBSETS["steps"],
+    ),
+    Mutant(
+        "interpolated-samples-lose-the-step-floor", PROPAGATE,
+        'smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"',
+        'smooth = schedule.meta.ansatz == "cosine"',
+        SUBSETS["steps"],
+    ),
+    Mutant(
+        "sampled-ramp-loses-the-step-floor", PROPAGATE,
+        'smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"',
+        "smooth = schedule._samples_match_angles",
+        SUBSETS["steps"],
+    ),
+    Mutant(
+        "sample-gap-ends-left-unpinned", SYNTH,
+        "gdot[[0, -1]] = 0.0",
+        "pass",
+        SUBSETS["steps"],
     ),
 )
 
