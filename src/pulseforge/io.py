@@ -259,6 +259,19 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
     _atomic_write(path, itertools.chain([("\n".join(lines) + "\n").encode()], _csv_rows(table)))
 
 
+def _refused_cell(line: str) -> str:
+    """Why loadtxt refuses one body line: the first cell it cannot convert,
+    named by its column's header, or else the line's width."""
+    # loadtxt's own comment and delimiter rules
+    cells = line.partition("#")[0].split(",")
+    for k, (cell, name) in enumerate(zip(cells, SCHEDULE_COLUMNS.split(","))):
+        try:
+            np.loadtxt([line], delimiter=",", usecols=k)
+        except ValueError:
+            return f"could not convert string {cell!r} to float64 in column {name}"
+    return f"expected 4 columns, got {len(cells)}"
+
+
 def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
     """The (n, 4) samples of a schedule body, parsed in one loadtxt call.
 
@@ -266,7 +279,8 @@ def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
     file line ``first``.  If that call fails or reads another width, the
     body is parsed again a line at a time: the first line that loadtxt
     refuses, or that has other than 4 cells, raises ScheduleFormatError
-    naming its file line.
+    naming its file line (and, for a cell loadtxt cannot convert, the
+    column).
     """
     with contextlib.suppress(ValueError):
         table = np.loadtxt(body, delimiter=",", ndmin=2)
@@ -278,7 +292,7 @@ def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
         try:
             row = np.loadtxt([line], delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ScheduleFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise ScheduleFormatError(f"{path}:{lineno}: {_refused_cell(line)}") from exc
         if row.shape[1] != 4:
             raise ScheduleFormatError(f"{path}:{lineno}: expected 4 columns, got {row.shape[1]}")
     raise ScheduleFormatError(f"{path}: the samples do not parse as one table, though each line does")

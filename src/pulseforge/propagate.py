@@ -171,32 +171,49 @@ def steps_for(schedule: ControlSchedule, tol: float = 0.0) -> int:
     reject).  A ``tol`` of 0 bounds the norm loss alone: no count meets it,
     and any gap fails it.
 
-    The estimate assumes a smooth pulse.  So DEFAULT_N_STEPS is a floor
-    where RK4 plays the samples linearly interpolated, and for the sampled
-    ansatz: its cubic spline's third derivative jumps at the knots, and
-    there RK4's error depends on where the knots fall within the steps.
+    The sampled ramp's clamped spline G(s), with gamma(t) = G(t / T), is
+    cubic between knots, so the drive gamma_dot = G'(t / T) / T has a second
+    derivative that jumps by dG3_k / T^3 at knot k (G3 = d^3 G / ds^3,
+    ``AnsatzSpec.knot_jump`` sums the |dG3_k|).  RK4's first-order term on a
+    step is Simpson's rule, and on a step of length h that holds a jump J of
+    the integrand's second derivative Simpson's error is at most
+    |J| h^3 / 324, reached with the jump a third into the step.  That is
+    the Peano kernel theorem: Simpson's rule is exact for cubics, so its
+    error on f is its third-order Peano kernel K integrated against f's
+    third derivative, here J delta(t - a), which gives J K(a), and
+    max |K| = h^3 / 324 at a = h/3 and 2h/3 (Davis and Rabinowitz,
+    *Methods of Numerical Integration*, on Peano kernels).  With h = T / n
+    the T's cancel: the knots add a phase error of at most
+    sum_k |dG3_k| / (324 n^3), held to tol / 10 like the stability term.
+
+    Where RK4 plays the samples linearly interpolated, DEFAULT_N_STEPS is
+    a floor: the interpolant's kinks at every sample are not bounded here.
 
     Raises :class:`~pulseforge.errors.PulseforgeError` (exit 2) when omega
     is not finite or the count is past STEP_BUDGET.
     """
+    # RK4 plays the ramp where the samples follow it, else their interpolant
+    ramp = schedule._ramp if schedule._samples_match_angles else None
+    jumps = 0.0 if ramp is None else ramp.knot_jump
     with np.errstate(over="ignore", invalid="ignore"):
         peak = _peak_drive(schedule.tau, schedule.alpha)
-        if schedule._samples_match_angles:
-            # RK4 plays the ansatz, which may peak between sparse samples
+        if ramp is not None:
+            # the ramp may peak between sparse samples
             peak = max(peak, _peak_drive(*schedule.controls_at(np.linspace(0.0, schedule.T, DRIVE_POINTS))))
         omega = abs(schedule.params.delta) + peak
         x = np.float64(schedule.T) * omega
         need = x ** 1.2 / (144.0 * (NORM_DRIFT_LIMIT / 10.0)) ** 0.2
         if tol > 0.0:
-            need = max(need, x ** 1.25 / (120.0 * (tol / 10.0)) ** 0.25)
+            need = max(need, x ** 1.25 / (120.0 * (tol / 10.0)) ** 0.25,
+                       (jumps / (324.0 * (tol / 10.0))) ** (1.0 / 3.0))
     if not need <= STEP_BUDGET:
         raise PulseforgeError(
-            f"RK4 needs about {need:.3g} steps for T * omega = {x:.3g} rad at tol {tol:.3e}, "
+            f"RK4 needs about {need:.3g} steps for T * omega = {x:.3g} rad and spline knot jumps {jumps:.3g} "
+            f"at tol {tol:.3e}, "
             f"past the budget of {STEP_BUDGET}; pass --steps (at most {STEP_BUDGET}) to choose the count"
         )
     n = max(2, math.ceil(need))
-    smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"
-    return n if smooth else max(n, DEFAULT_N_STEPS)
+    return n if ramp is not None else max(n, DEFAULT_N_STEPS)
 
 
 def _hamiltonian_stack(tau: np.ndarray, alpha: np.ndarray, delta: float) -> np.ndarray:

@@ -69,6 +69,11 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_N_SAMPLES = 2000
 
+# the most samples one ansatz asks for: synthesis peaks near 110 B a sample
+# (140 MB RSS for a 1e6-sample prepare), and verify reads its 78 MB file at
+# about 300 B a sample (330 MB)
+SAMPLE_BUDGET = 1_000_000
+
 ANSATZ_FAMILIES = ("cosine", "sampled")
 
 # largest relative sample gap (ControlSchedule.sample_gap) of a schedule
@@ -77,6 +82,8 @@ _SAMPLE_MATCH_TOL = 1e-9
 
 _AMP_TOL = 1e-12
 _PHASE_TOL = 1e-12
+# past this Zeeman phase delta * T a float resolves no phase mod 2 pi
+_ZEEMAN_PHASE_LIMIT = 2.0 ** 53
 # slack of solve_theta's reach test |2A^2 - 1| <= r
 _REACH_TOL = 1e-9
 
@@ -131,6 +138,8 @@ class AnsatzSpec:
             raise InvalidAnsatzError(f"unknown ansatz family {self.family!r}")
         if self.n_samples < 2:
             raise InvalidAnsatzError("n_samples must be at least 2")
+        if self.n_samples > SAMPLE_BUDGET:
+            raise InvalidAnsatzError(f"n_samples must be at most {SAMPLE_BUDGET}, got {self.n_samples:.6g}")
         if not math.isfinite(self.gamma_final):
             raise InvalidAnsatzError(f"gamma_final must be finite, got {self.gamma_final!r}")
         if self.T is not None and not (self.T > 0.0 and math.isfinite(self.T)):
@@ -185,6 +194,20 @@ class AnsatzSpec:
             return gamma, gamma_dot
 
         return fn
+
+    @property
+    def knot_jump(self) -> float:
+        """Sum over the profile's inner knots of the jumps |dG3_k| of the
+        ramp's third derivative, G3 = d^3 G / ds^3 with G(s) the ramp on the
+        normalized time axis s = t / T; 0.0 for the smooth cosine ramp.
+
+        The clamped spline is cubic on each interval, where G3 = 6 p3[i]
+        (:func:`_clamped_spline`'s coefficient rows).
+        """
+        if self.family == "cosine":
+            return 0.0
+        p3 = _clamped_spline(*self.profile)[3]
+        return float(np.sum(np.abs(np.diff(6.0 * p3))))
 
 
 def _clamped_spline(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -446,14 +469,19 @@ class ControlSchedule:
         return None if why is None else f"schedule lacks drive-angle metadata that builds a ramp: {why}"
 
     @cached_property
-    def _angles(self) -> DiamondAngles | None:
+    def _ramp(self) -> AnsatzSpec | None:
         """The one ramp every reader shares, built once; None when
         :attr:`ramp_refusal` names a reason."""
         if self.ramp_refusal is not None:
             return None
         m = self.meta
-        ramp = AnsatzSpec(m.gamma_final, family=m.ansatz, profile=m.profile)
-        return DiamondAngles(gamma=ramp.gamma_fn(self.T), theta=m.theta)
+        return AnsatzSpec(m.gamma_final, family=m.ansatz, profile=m.profile)
+
+    @cached_property
+    def _angles(self) -> DiamondAngles | None:
+        """The ramp's drive angles over [0, T]; None without a ramp."""
+        ramp = self._ramp
+        return None if ramp is None else DiamondAngles(gamma=ramp.gamma_fn(self.T), theta=self.meta.theta)
 
     def angles(self) -> DiamondAngles | None:
         """Generating drive angles, when the metadata allows reconstruction."""
@@ -647,8 +675,9 @@ def operation_time(
     until it is no smaller, to within 1e-12 of a period plus the rounding of
     the period count (about 4e-16 * t_min); with ``t_max`` set, an
     out-of-window T raises
-    :class:`~pulseforge.errors.NoFeasibleTimeError`, as does a T or a
-    Zeeman phase delta*T past the float range.
+    :class:`~pulseforge.errors.NoFeasibleTimeError`, as does a T past the
+    float range or a Zeeman phase delta*T past 2^53 rad, where the float
+    no longer holds a phase.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -665,6 +694,11 @@ def operation_time(
     if not math.isfinite(duration):
         raise NoFeasibleTimeError(
             f"the operation time for delta = {delta:.6g} rad/s and t_min = {t_min:.6g} s overflows"
+        )
+    if delta * duration > _ZEEMAN_PHASE_LIMIT:
+        raise NoFeasibleTimeError(
+            f"the requested T = {t_min:.6g} s puts the Zeeman phase delta * T = {delta * duration:.3g} rad "
+            f"past 2^53 rad, where adjacent floats are 2 rad apart and no phase survives"
         )
     if t_max is not None and duration > t_max:
         raise NoFeasibleTimeError(

@@ -15,6 +15,7 @@ from pulseforge import NotGateSpec, cli, synthesize_gate
 from pulseforge.cli import bloch_vector, compose_chain, main
 from pulseforge import io as pfio
 from pulseforge.errors import PlanError, PulseforgeError, ScheduleFormatError
+from pulseforge.synth import SAMPLE_BUDGET, AnsatzSpec
 from pulseforge.io import (
     load_plan,
     parse_angle,
@@ -1036,3 +1037,40 @@ def test_one_verify_op_integrates_once_and_evaluates_the_closed_form_once(tmp_pa
         monkeypatch.setattr(propagate, name, counted(name))
     assert main(["verify", "--schedule", str(out / "stage01_not.csv")]) == 0
     assert calls == {"_rk4_states": 1, "propagator_entries": 1}
+
+
+@pytest.mark.parametrize("n_samples", [SAMPLE_BUDGET + 1, 1e12, 1e300])
+@pytest.mark.parametrize("command", ["gate", "chain"])
+def test_a_sample_count_past_the_budget_exits_2_naming_it(tmp_path, capsys, command, n_samples):
+    # refused while the plan is read, before any array is sized by it
+    stage = {**NOT_STAGE, "ansatz": {"n_samples": n_samples}}
+    assert main([command, "--plan", _stage_plan(tmp_path, stage)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"n_samples must be at most {SAMPLE_BUDGET}, got " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_sample_budget_itself_is_accepted():
+    assert AnsatzSpec(n_samples=SAMPLE_BUDGET).n_samples == SAMPLE_BUDGET
+
+
+@pytest.mark.parametrize("phase", [1e16, 1e17, 1e200])
+@pytest.mark.parametrize("stage", [NOT_STAGE, TRANSPORT_STAGE, PREPARE_STAGE], ids=["not", "transport", "prepare"])
+def test_a_requested_T_past_the_floats_phase_resolution_exits_3_naming_it(tmp_path, capsys, stage, phase):
+    # delta * T past 2^53 rad: lifting T by whole periods loses the phase, and
+    # the closed-form check used to fail the schedule (exit 4) instead
+    t = phase / REF_DELTA
+    stage = {**stage, "ansatz": {"T": t, "n_samples": 50}}
+    command = "prepare" if stage["gate"] == "prepare" else "gate"
+    assert main([command, "--plan", _stage_plan(tmp_path, stage)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and f"the requested T = {t:.6g} s" in err and "past 2^53 rad" in err
+
+
+def test_operation_time_refuses_a_zeeman_phase_past_2_to_the_53():
+    from pulseforge.errors import NoFeasibleTimeError
+    from pulseforge.synth import operation_time
+
+    assert operation_time(1.0, 0.0, 1.0, t_min=2.0 ** 52) * 1.0 <= 2.0 ** 53
+    with pytest.raises(NoFeasibleTimeError, match=r"requested T = 1\.8\d+e\+16 s"):
+        operation_time(1.0, 0.0, 1.0, t_min=2.0 ** 54)

@@ -483,3 +483,27 @@ def test_the_error_names_the_bad_row_among_blank_comment_and_crlf_lines(n_rows, 
         path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
         with pytest.raises(ScheduleFormatError, match=rf"bad\.csv:{lineno}: {re.escape(_BAD_ROWS[bad])}"):
             read_schedule(path)
+
+
+@pytest.mark.parametrize(
+    "cells, cell, column",
+    [
+        ("x,0.0,0.0,0.0", "x", "t"),
+        ("1e-12,x,0.0,0.0", "x", "tau"),
+        ("1e-12,0.0,,0.0", "", "re_alpha"),
+        ("1e-12,0.0,0.0,1_0 # note", "1_0 ", "im_alpha"),
+    ],
+    ids=["t", "tau", "re_alpha-empty", "im_alpha-before-a-comment"],
+)
+def test_a_bad_cell_is_named_by_its_column_header(tmp_path, ref_prep_schedule, cells, cell, column):
+    path = tmp_path / "s.csv"
+    write_schedule(path, ref_prep_schedule)
+    lines = path.read_text().splitlines()
+    k = lines.index(SCHEDULE_COLUMNS)
+    lines[k + 5] = cells
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScheduleFormatError) as exc:
+        read_schedule(bad)
+    # the file's line and the column's header, and no row or column of numpy's own
+    assert str(exc.value) == f"{bad}:{k + 6}: could not convert string {cell!r} to float64 in column {column}"

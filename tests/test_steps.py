@@ -8,6 +8,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from pulseforge import propagate, transport_amplitudes
 from pulseforge.cli import main
 from pulseforge.io import read_schedule
 from pulseforge.propagate import DEFAULT_N_STEPS, STEP_BUDGET, steps_for
+from pulseforge.synth import AnsatzSpec
 from conftest import REF_DELTA
 
 TOL = 1e-7
@@ -240,16 +242,23 @@ def test_a_zero_tolerance_bounds_the_norm_loss_alone(tmp_path):
     assert steps_for(schedule, 0.0) == steps_for(schedule) < steps_for(schedule, TOL)
 
 
-def test_a_sampled_ramp_takes_the_4000_floor(tmp_path):
-    # the spline's knots cost RK4 more than the smooth-pulse estimate: this
-    # profile (tests/test_cli.py's SAMPLED_ANSATZ) misses 1e-7 at 105 to 140 steps
+def test_a_sampled_ramp_takes_the_knot_term(tmp_path, monkeypatch):
+    # the spline's third derivative jumps at its knots, which the smooth-pulse
+    # estimate misses: this profile (tests/test_cli.py's SAMPLED_ANSATZ)
+    # missed 1e-7 at 105 to 140 steps
     profile = {"s": [0.0, 0.01, 0.02, 0.5, 1.0], "gamma": [0.0, 0.001, 0.004, 0.8, 0.5 * math.pi]}
     path = _gate(tmp_path, {**NOT_STAGE, "ansatz": {"family": "sampled", "profile": profile}})[1]
     schedule = read_schedule(path)
     assert schedule._samples_match_angles
-    assert steps_for(schedule, TOL) == DEFAULT_N_STEPS
-    cosine = read_schedule(_gate(tmp_path / "cosine", NOT_STAGE)[1])
-    assert steps_for(cosine, TOL) < DEFAULT_N_STEPS
+    derived = steps_for(schedule, TOL)
+    assert derived == math.ceil((schedule._ramp.knot_jump / (324.0 * (TOL / 10.0))) ** (1.0 / 3.0))
+    with monkeypatch.context() as m:
+        m.setattr(AnsatzSpec, "knot_jump", 0.0)
+        assert steps_for(read_schedule(path), TOL) < derived < DEFAULT_N_STEPS
+    code, out, err = _run(["verify", "--schedule", str(path)])
+    assert (code, err) == (0, "")
+    assert f"integration steps: {derived} (derived for tol 1.000e-07)\n" in out
+    assert float(GAP_LINE.search(out).group(1)) <= TOL / 5
 
 
 def test_a_two_sample_sampled_schedule_verifies(tmp_path):
@@ -264,3 +273,87 @@ def test_a_two_sample_sampled_schedule_verifies(tmp_path):
     assert read_schedule(path).sample_gap == 0.0
     code, out, err = _run(["verify", "--schedule", str(path)])
     assert (code, err) == (0, ""), out
+
+
+# ------------------------------------------------- the spline's knot term
+
+
+@st.composite
+def _uneven_profiles(draw):
+    """A sampled ramp on 2 to 6 inner knots whose smallest gap reaches 0.005:
+    the cosine ramp plus a bump and a per-knot wobble."""
+    k = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1))
+    total = sum(weights) or 1.0
+    s = [0.0]
+    for w in weights[:-1]:
+        s.append(s[-1] + 0.005 + (1.0 - 0.005 * (k + 1)) * w / total)
+    s.append(1.0)
+    bump = draw(st.floats(-0.04, 0.04))
+    wobble = draw(st.lists(st.floats(-0.01, 0.01), min_size=k + 2, max_size=k + 2))
+    gamma = [0.5 * math.pi * (0.5 * (1.0 - math.cos(math.pi * x)) + bump * math.sin(2.0 * math.pi * x) + w)
+             for x, w in zip(s, wobble)]
+    return {"s": s, "gamma": [0.0, *gamma[1:-1], 0.5 * math.pi]}
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    stage=_stages(),
+    profile=_uneven_profiles(),
+    delta=st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-300, 299)),
+    periods=st.one_of(st.none(), st.floats(0.01, 30.0)),
+)
+def test_what_gate_accepts_on_uneven_knots_verify_accepts_at_its_defaults(stage, profile, delta, periods):
+    stage, ansatz = stage
+    ansatz.update({"family": "sampled", "profile": profile})
+    if periods is not None:
+        ansatz["T"] = periods * 2.0 * math.pi / delta
+    with tempfile.TemporaryDirectory() as d:
+        code, path = _gate(d, {**stage, "ansatz": ansatz}, delta)
+        if code != 0:
+            return
+        code, out, err = _run(["verify", "--schedule", str(path)])
+        assert code == 0, out + err
+        assert read_schedule(path)._samples_match_angles
+        assert float(GAP_LINE.search(out).group(1)) <= TOL / 5
+
+
+def test_knot_jump_is_the_jump_of_scipys_third_derivative():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    s = [0.0, 0.01, 0.3, 0.31, 0.7, 1.0]
+    gamma = [0.0, 0.002, 0.5, 0.55, 1.2, 0.5 * math.pi]
+    third = interpolate.CubicSpline(s, gamma, bc_type=((1, 0.0), (1, 0.0))).derivative(3)
+    # constant on each interval: read it at the midpoints
+    g3 = third([0.5 * (a + b) for a, b in zip(s, s[1:])])
+    expected = float(sum(abs(b - a) for a, b in zip(g3, g3[1:])))
+    ramp = AnsatzSpec(family="sampled", profile=(s, gamma))
+    assert ramp.knot_jump == pytest.approx(expected, rel=1e-9)
+    assert AnsatzSpec().knot_jump == 0.0
+
+
+def test_a_knot_term_past_the_budget_exits_2_before_anything_is_allocated(tmp_path, monkeypatch):
+    # a 2e-4 rad zigzag over knots 1e-5 apart: a modest drive, but third
+    # derivatives near 1e11 that take about 9e5 steps at 1e-7
+    profile = {"s": [0.0, 0.5, 0.50001, 0.50002, 1.0], "gamma": [0.0, 0.785, 0.7852, 0.785, 0.5 * math.pi]}
+    stage = {**NOT_STAGE, "ansatz": {"family": "sampled", "profile": profile}}
+    code, path = _gate(tmp_path, stage)
+    assert code == 0
+    with monkeypatch.context() as m:
+        m.setattr(AnsatzSpec, "knot_jump", 0.0)
+        assert steps_for(read_schedule(path), TOL) < DEFAULT_N_STEPS
+    runs = [["verify", "--schedule", str(path)],
+            ["chain", "--plan", _plan(tmp_path / "c", [stage]), "--out", str(tmp_path / "c")]]
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            code, out, err = _run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert re.search(r"RK4 needs about (\S+) steps for T \* omega = \S+ rad and spline knot jumps \S+ "
+                         r"at tol 1\.000e-07, past the budget of 250000; pass --steps", err), err
+        needed = float(re.search(r"about (\S+) steps", err).group(1))
+        assert needed > STEP_BUDGET
+        # verify at the budget peaks near 200 MB; the refusal comes before it
+        assert peak < 16e6

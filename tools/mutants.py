@@ -47,6 +47,7 @@ SUBSETS = {
     "io": ("tests/test_io.py",),
     "propagate": ("tests/test_propagate.py",),
     "steps": ("tests/test_steps.py",),
+    "synthesis-limits": ("tests/test_cli.py", "-k", "phase_resolution or 2_to_the_53"),
 }
 
 
@@ -157,6 +158,12 @@ MUTANTS = (
         SUBSETS["io"],
     ),
     Mutant(
+        "bad-cell-message-drops-the-column", IO,
+        'to float64 in column {name}"',
+        'to float64"',
+        SUBSETS["io"],
+    ),
+    Mutant(
         "bad-row-width-unchecked", IO,
         "if row.shape[1] != 4:",
         "if False:",
@@ -194,15 +201,27 @@ MUTANTS = (
     ),
     Mutant(
         "interpolated-samples-lose-the-step-floor", PROPAGATE,
-        'smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"',
-        'smooth = schedule.meta.ansatz == "cosine"',
+        "return n if ramp is not None else max(n, DEFAULT_N_STEPS)",
+        "return n",
         SUBSETS["steps"],
     ),
     Mutant(
-        "sampled-ramp-loses-the-step-floor", PROPAGATE,
-        'smooth = schedule._samples_match_angles and schedule.meta.ansatz == "cosine"',
-        "smooth = schedule._samples_match_angles",
+        "derived-steps-drop-the-knot-term", PROPAGATE,
+        "jumps = 0.0 if ramp is None else ramp.knot_jump",
+        "jumps = 0.0",
         SUBSETS["steps"],
+    ),
+    Mutant(
+        "knot-term-takes-a-tenth-of-simpsons-error", PROPAGATE,
+        "(jumps / (324.0 * (tol / 10.0)))",
+        "(jumps / (3240.0 * (tol / 10.0)))",
+        SUBSETS["steps"],
+    ),
+    Mutant(
+        "zeeman-phase-past-2-to-the-53-lifted", SYNTH,
+        "if delta * duration > _ZEEMAN_PHASE_LIMIT:",
+        "if False:",
+        SUBSETS["synthesis-limits"],
     ),
     Mutant(
         "sample-gap-ends-left-unpinned", SYNTH,
