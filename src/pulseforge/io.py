@@ -7,20 +7,24 @@ bit-identically to the in-memory original.  A sampled-ansatz schedule also
 carries its profile knots in `profile_s` and `profile_gamma` header lines.
 
 Each numeric writer (schedule body and knots, trajectory CSV and JSON)
-stacks its cells into float arrays and formats them with `_repr_dumps`, a
-block of rows (a JSON key) per call, writing each chunk as it comes.
-orjson writes the shortest round-trip digits, the same digits as `repr`;
-whole-buffer byte rewrites then give the exponents, the [1e-5, 1e-4) band
-and the non-finite cells `repr`'s spelling, so the bytes are those of
-calling `repr` cell by cell.  The JSON export is laid out exactly as
-`json.dumps(payload, indent=2)` lays it out.
+stacks its cells into a float table and formats it with `_repr_dumps`, one
+orjson call per block of rows (flattened), writing each chunk as it comes.
+orjson writes the shortest round-trip digits, the same digits as `repr`,
+and spells a cell differently only in known magnitude classes.  One comma
+scan gives every cell's end, and each fix goes in by index from there,
+picked by the cell's magnitude, so the bytes are those of calling `repr`
+cell by cell, with no regex or replace pass over the text.  A CSV row ends
+where a newline is written over every ncol-th comma; the JSON export takes
+orjson's indented layout, which is that of `json.dumps(payload, indent=2)`.
 
-The reader takes the header lines up to the column line, then parses the
-whole body in one `np.loadtxt` call, which rounds each cell exactly as
-`float()` does.  A body that call refuses is read again a line at a time,
-counting the file's own lines: the first line with a cell that is not a
-float, or without 4 cells, is reported as `file:line:` followed by the
-parser's reason.
+The reader splits lines at "\n" alone, and refuses a body of more lines
+than `synth.SAMPLE_BUDGET` before it splits it.  It takes the header lines
+up to the column line, then
+parses the whole body in one `np.loadtxt` call, which rounds each cell
+exactly as `float()` does.  A body that call refuses is read again a line
+at a time, counting the file's own lines: the first line with a cell that
+is not a float, or without 4 cells, is reported as `file:line:` followed by
+the parser's reason.
 
 Plans are JSON.  Angles accept plain numbers (radians) or literals such as
 "90deg", "0.5pi", "pi/3"; complex amplitudes accept numbers, "re+imj"
@@ -50,7 +54,7 @@ import numpy as np
 from .dqd import SystemParams
 from .errors import InvalidAnsatzError, PlanError, PulseforgeError, ScheduleFormatError
 from .propagate import FidelityTrace, Trajectory
-from .synth import ANSATZ_FAMILIES, AnsatzSpec, ControlSchedule, ScheduleMeta
+from .synth import ANSATZ_FAMILIES, SAMPLE_BUDGET, AnsatzSpec, ControlSchedule, ScheduleMeta
 
 # CODATA 2018 values, as scipy.constants reports them; a literal keeps scipy
 # out of the import path of every command
@@ -166,57 +170,81 @@ def _atomic_write(path: Path, chunks) -> None:
 
 SCHEDULE_COLUMNS = "t,tau,re_alpha,im_alpha"
 
-# orjson writes 1e16 and 1e-7 where repr writes 1e+16 and 1e-07; both take
-# an exponent only from 1e16 up, so a positive one has two digits or three.
-# Each pattern starts with a literal, which regex search skips to.
-_EXP_POSITIVE = re.compile(rb"e(?=\d)")
-_EXP_NEGATIVE_ONE_DIGIT = re.compile(rb"e-(?=\d\b)")
-# orjson writes [1e-5, 1e-4) positionally, 0.000015 for repr's 1.5e-05
-_BAND_TAIL = re.compile(rb"\.0000(\d)(\d*)")
-_DIGITS = frozenset(b"0123456789")
+# Where orjson's spelling of a float differs from repr's, by magnitude: from
+# 1e16 its exponent has no "+" (from 1e100 it has three digits), in [1e-9,
+# 1e-5) a one-digit negative exponent has no leading 0, in [1e-5, 1e-4) it
+# writes the cell positionally (0.000015 for 1.5e-05), and a non-finite cell
+# as null.  Both write the shortest round-trip digits, so a float's exponent
+# reaches an edge exactly when the float reaches the edge's own float.
+_PLUS_FROM, _THREE_DIGITS_FROM = 1e16, 1e100
+_ONE_DIGIT_FROM, _BAND_FROM, _BAND_TO = 1e-9, 1e-5, 1e-4
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_COMMA = ord(",")
 
 
-def _band_to_exponent(buf: bytes) -> bytes:
-    """``buf`` with each cell 0.0000d... respelled d....e-05, as repr spells it."""
-    parts, last = [], 0
-    for m in _BAND_TAIL.finditer(buf):
-        # the cell is exactly "0" before the point; 10.00001 is not in the band
-        zero = m.start() - 1
-        if buf[zero] != ord("0") or (zero and buf[zero - 1] in _DIGITS):
-            continue
-        lead, rest = m.groups()
-        parts += (buf[last:zero], lead, b"." + rest if rest else b"", b"e-05")
-        last = m.end()
-    parts.append(buf[last:])
-    return b"".join(parts)
+def _repr_dumps(cells: np.ndarray, ncol: int = 1, layout: str = "flat") -> memoryview:
+    """orjson's bytes for the flat float array ``cells``, ``ncol`` cells a
+    row, with each cell spelled as `repr` spells it.
 
+    ``layout`` is ``"flat"``, orjson's ``[a,b,...]``; ``"csv"``, the same
+    with a newline for the comma (or bracket) after each row; or ``"json"``,
+    orjson's indented layout of ``[rows]`` (of ``[cells]`` where ``ncol`` is
+    1), whose inner list is what json.dumps(indent=2) writes for a key
+    holding the rows, with json's words for the non-finite cells.  The
+    bytes are a writable view, which slicing does not copy.
 
-def _repr_dumps(data, indent: bool = False) -> bytes:
-    """orjson's bytes for ``data``, every float cell spelled as `repr` spells it.
-
-    ``data`` is a C-contiguous float array or a dict of them.  orjson writes
-    a non-finite cell as null; it comes back as repr's nan, inf or -inf.
+    One comma scan gives every cell's end, and each fix is placed by index
+    from it, picked by the cells' magnitudes: a ``+`` two bytes before the
+    end (three from 1e100), or a ``0`` one byte before it.  The rare cells
+    orjson spells another way are dumped as 0.0, and repr's word is spliced
+    in for those three bytes.
     """
     import orjson
 
-    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
-    buf = orjson.dumps(data, option=option)
-    # each rewrite runs only where its cells occur; both formats switch to
-    # exponent form at 1e16 exactly, and orjson's positional band is
-    # [1e-5, 1e-4) exactly
-    arrays = list(data.values()) if isinstance(data, dict) else [data]
-    magnitudes = [np.abs(a) for a in arrays]
-    if any((m >= 1e16).any() for m in magnitudes):
-        buf = _EXP_POSITIVE.sub(b"e+", buf)
-    buf = _EXP_NEGATIVE_ONE_DIGIT.sub(b"e-0", buf)
-    if any(((m >= 1e-5) & (m < 1e-4)).any() for m in magnitudes):
-        buf = _band_to_exponent(buf)
-    if not all(np.isfinite(m).all() for m in magnitudes):
-        cells = np.concatenate([a.ravel() for a in arrays])
-        words = [repr(x).encode() for x in cells[~np.isfinite(cells)].tolist()]
-        parts = buf.split(b"null")
-        buf = b"".join(itertools.chain.from_iterable(zip(parts, words))) + parts[-1]
-    return buf
+    mag = np.abs(cells)
+    rare = ~(mag < np.inf) | ((mag >= _BAND_FROM) & (mag < _BAND_TO))
+    any_rare = rare.any()
+    dumped = np.where(rare, 0.0, cells) if any_rare else cells
+    # each cell ends at the comma after it, the last one at the closing
+    # bracket, or in the indented layout at the newline before the brackets
+    if layout == "json":
+        raw = orjson.dumps(dumped.reshape(1, -1, ncol) if ncol > 1 else dumped.reshape(1, -1),
+                           option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+        ends = np.append(np.flatnonzero(np.frombuffer(raw, np.uint8) == _COMMA), len(raw) - 6)
+        # a row's last cell ends 6 bytes ("\n    ]") before the comma after the row
+        if ncol > 1:
+            ends[ncol - 1::ncol] -= 6
+    else:
+        raw = orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY)
+        ends = np.append(np.flatnonzero(np.frombuffer(raw, np.uint8) == _COMMA), len(raw) - 1)
+    big = (mag >= _PLUS_FROM) & (mag < np.inf)
+    small = (mag >= _ONE_DIGIT_FROM) & (mag < _BAND_FROM)
+    fixed = big | small
+    if fixed.any():
+        # the fixes' offsets increase with the cells', so each inserted byte's
+        # place in the output is its offset plus the count inserted before it
+        at = ends[fixed] - np.where(big, 2 + (mag >= _THREE_DIGITS_FROM), 1)[fixed]
+        at += np.arange(len(at))
+        buf = np.empty(len(raw) + len(at), np.uint8)
+        kept = np.ones(len(buf), bool)
+        kept[at] = False
+        buf[kept] = np.frombuffer(raw, np.uint8)
+        buf[at] = np.where(big[fixed], ord("+"), ord("0"))
+        ends += np.cumsum(fixed)
+    else:
+        buf = np.frombuffer(bytearray(raw), np.uint8)
+    if layout == "csv":
+        buf[ends[ncol - 1::ncol]] = ord("\n")
+    if not any_rare:
+        return memoryview(buf)
+    words = _JSON_WORDS if layout == "json" else {}
+    parts, last = [], 0
+    for end, x in zip(ends[rare].tolist(), cells[rare].tolist()):
+        word = repr(x)
+        parts += (buf[last:end - 3], words.get(word, word).encode())
+        last = end
+    parts.append(buf[last:])
+    return memoryview(bytearray().join(parts))
 
 
 # rows formatted per orjson call: the writers hold a block's few buffers at a
@@ -224,15 +252,25 @@ def _repr_dumps(data, indent: bool = False) -> bytes:
 _ROW_BLOCK = 512
 
 
-def _csv_rows(table: np.ndarray):
-    """A C-contiguous 2-d float table as CSV lines of `repr` cells, a block of rows at a time."""
+def _formatted(table: np.ndarray, layout: str):
+    """A float table (or column) in the ``"csv"`` or ``"json"`` layout of
+    `_repr_dumps`, a block of rows at a time: CSV lines, or a JSON key's list."""
+    table = table.reshape(len(table), -1)
     for start in range(0, len(table), _ROW_BLOCK):
-        # orjson writes [[a,b],[c,d]]
-        yield _repr_dumps(table[start:start + _ROW_BLOCK])[2:-2].replace(b"],[", b"\n") + b"\n"
+        stop = start + _ROW_BLOCK
+        chunk = _repr_dumps(np.ascontiguousarray(table[start:stop]).ravel(), table.shape[1], layout)
+        if layout == "csv":
+            yield chunk[1:]
+            continue
+        # the list inside orjson's "[\n  [...]\n]": a block after the first
+        # drops its "[", and one before the last its "\n  ]" for a comma
+        if stop < len(table):
+            chunk[-6] = _COMMA
+        yield chunk[4 if start == 0 else 5:-2 if stop >= len(table) else -5]
 
 
 def _float_list(values) -> str:
-    return _repr_dumps(np.ascontiguousarray(values, dtype=float))[1:-1].decode()
+    return bytes(_repr_dumps(np.ascontiguousarray(values, dtype=float))[1:-1]).decode()
 
 
 def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
@@ -256,7 +294,7 @@ def write_schedule(path: str | Path, schedule: ControlSchedule) -> None:
         lines.append(f"# profile_gamma={_float_list(g)}")
     lines.append(SCHEDULE_COLUMNS)
     table = np.column_stack((schedule.times, schedule.tau, schedule.alpha.real, schedule.alpha.imag))
-    _atomic_write(path, itertools.chain([("\n".join(lines) + "\n").encode()], _csv_rows(table)))
+    _atomic_write(path, itertools.chain([("\n".join(lines) + "\n").encode()], _formatted(table, "csv")))
 
 
 def _refused_cell(line: str) -> str:
@@ -298,6 +336,18 @@ def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
     raise ScheduleFormatError(f"{path}: the samples do not parse as one table, though each line does")
 
 
+def _body_lines(raw: str) -> int:
+    """How many lines of ``raw`` follow its first line that is neither blank
+    nor a comment (the column line), counted by their ends, without a split."""
+    pos = 0
+    while (end := raw.find("\n", pos)) >= 0:
+        line = raw[pos:end].strip()
+        pos = end + 1
+        if line and not line.startswith("#"):
+            return raw.count("\n", pos) + (not raw.endswith("\n"))
+    return 0
+
+
 def read_schedule(path: str | Path) -> ControlSchedule:
     """Parse a schedule file; raises ScheduleFormatError on malformed input."""
     path = Path(path)
@@ -305,7 +355,13 @@ def read_schedule(path: str | Path) -> ControlSchedule:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScheduleFormatError(f"cannot read schedule file {path}: {exc}") from exc
-    lines = raw.splitlines()
+    # no writer makes more samples than the budget; a longer body is refused
+    # before its lines are split, which costs over 100 bytes a line.  Text
+    # mode has made every line end "\n", and only "\n" ends a line, so the
+    # count and the split agree (str.splitlines also breaks at form feeds)
+    if _body_lines(raw) > SAMPLE_BUDGET:
+        raise ScheduleFormatError(f"{path}: more than {SAMPLE_BUDGET} lines follow the column header")
+    lines = raw.split("\n")
     header: dict[str, str] = {}
     first = None
     for lineno, line in enumerate(lines, start=1):
@@ -436,7 +492,7 @@ def write_trajectory_csv(
     fidelity: FidelityTrace,
 ) -> None:
     table = _trajectory_table(traj, tau, alpha, fidelity)
-    _atomic_write(Path(path), itertools.chain([TRAJECTORY_COLUMNS.encode() + b"\n"], _csv_rows(table)))
+    _atomic_write(Path(path), itertools.chain([TRAJECTORY_COLUMNS.encode() + b"\n"], _formatted(table, "csv")))
 
 
 def write_trajectory_json(
@@ -452,16 +508,10 @@ def write_trajectory_json(
 
 
 def _json_fields(table: np.ndarray):
-    """The trajectory JSON export of ``table``, one chunk per key."""
+    """The trajectory JSON export of ``table``, a key at a time."""
     for k, (key, cols) in enumerate(_TRAJECTORY_JSON):
-        block = np.ascontiguousarray(table[:, cols])
-        # orjson writes {\n  "key": [...]\n}; the field lies between the braces
-        field = _repr_dumps({key: block}, indent=True)[2:-2]
-        if not np.isfinite(block).all():
-            # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
-            # no key holds either word
-            field = field.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
-        yield b",\n" + field if k else b"{\n" + field
+        yield (b",\n" if k else b"{\n") + f'  "{key}": '.encode()
+        yield from _formatted(table[:, cols], "json")
     yield b"\n}\n"
 
 

@@ -24,6 +24,7 @@ from pulseforge.io import (
     SCHEDULE_COLUMNS,
     TRAJECTORY_COLUMNS,
     _ROW_BLOCK,
+    _formatted,
     _repr_dumps,
     read_schedule,
     write_schedule,
@@ -31,7 +32,7 @@ from pulseforge.io import (
     write_trajectory_json,
 )
 from pulseforge.propagate import FidelityTrace, TimeGrid, integrate
-from pulseforge.synth import ControlSchedule, ScheduleMeta
+from pulseforge.synth import SAMPLE_BUDGET, ControlSchedule, ScheduleMeta
 from conftest import REF_DELTA
 
 # ------------------------------------------------- reference writers (per cell)
@@ -211,6 +212,51 @@ def test_writers_match_reference_across_row_blocks():
     parts = _trajectory_parts(table)
     assert _written(write_trajectory_csv, *parts) == reference_trajectory_csv(*parts).encode()
     assert _written(write_trajectory_json, *parts) == reference_trajectory_json(*parts).encode()
+
+
+# the edges of the magnitude classes the formatter fixes by index, and the
+# float next to each toward zero, which falls in the class below
+CLASS_EDGES = [1e-9, 1e-5, 1e-4, 1e16, 1e100]
+EDGE_CELLS = [sign * x for edge in CLASS_EDGES for x in (edge, float(np.nextafter(edge, 0.0))) for sign in (1.0, -1.0)]
+EDGE_CELLS += [5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def _reference_rows(table):
+    """CSV lines of ``table``, `repr` cell by cell."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def _edge_table(ncol, rows, seed):
+    """``rows`` x ``ncol`` cells, about half of them class edges, the rest spread over 1e-12..1e20."""
+    rng = np.random.default_rng(seed)
+    spread = rng.normal(size=rows * ncol) * 10.0 ** rng.uniform(-12, 20, size=rows * ncol)
+    edges = rng.choice(np.array(EDGE_CELLS), size=rows * ncol)
+    return np.where(rng.random(rows * ncol) < 0.5, edges, spread).reshape(rows, ncol)
+
+
+@pytest.mark.parametrize("ncol", range(1, 18))
+def test_formatter_fixes_every_class_edge_in_both_layouts(ncol):
+    # three blocks of rows: the first, a middle one and the last
+    table = _edge_table(ncol, 2 * _ROW_BLOCK + 1, seed=ncol)
+    assert b"".join(_formatted(table, "csv")) == _reference_rows(table)
+    column = table[:, 0] if ncol == 1 else table
+    field = b"".join(_formatted(column, "json"))
+    assert b'{\n  "k": ' + field + b"\n}" == json.dumps({"k": column.tolist()}, indent=2).encode()
+    if ncol == 17:
+        parts = _trajectory_parts(table)
+        assert _written(write_trajectory_csv, *parts) == reference_trajectory_csv(*parts).encode()
+        assert _written(write_trajectory_json, *parts) == reference_trajectory_json(*parts).encode()
+
+
+def test_every_edge_cell_alone_and_at_each_end_of_a_block():
+    for cell in EDGE_CELLS:
+        assert bytes(_repr_dumps(np.array([cell]))[1:-1]) == repr(cell).encode()
+    table = np.zeros((_ROW_BLOCK + 1, 2))
+    for cell in EDGE_CELLS:
+        table[[0, _ROW_BLOCK - 1, _ROW_BLOCK], [0, 1, 1]] = cell
+        assert b"".join(_formatted(table, "csv")) == _reference_rows(table)
+        text = b'{\n  "k": ' + b"".join(_formatted(table, "json")) + b"\n}"
+        assert text == json.dumps({"k": table.tolist()}, indent=2).encode()
 
 
 # -------------------------------------------------- sampled-ansatz profile knots
@@ -447,6 +493,44 @@ def test_a_reworded_whole_body_error_still_names_the_line(tmp_path, ref_prep_sch
     monkeypatch.setattr(np, "loadtxt", reworded)
     with pytest.raises(ScheduleFormatError, match=rf"bad\.csv:{k + 6}: could not convert string 'x'"):
         read_schedule(bad)
+
+
+def test_a_body_past_the_sample_budget_is_refused_before_it_is_parsed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "long.csv"
+    path.write_text(f"# delta={REF_DELTA!r}\n{SCHEDULE_COLUMNS}\n" + "0.0,0.0,0.0,0.0\n" * (SAMPLE_BUDGET + 1))
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    with pytest.raises(ScheduleFormatError, match=rf"long\.csv: more than {SAMPLE_BUDGET} lines"):
+        read_schedule(path)
+    assert main(["verify", "--schedule", str(path)]) == 2
+    assert "long.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["terminated", "unterminated"])
+def test_the_budget_counts_every_line_after_the_column_header(tmp_path, monkeypatch, end):
+    monkeypatch.setattr("pulseforge.io.SAMPLE_BUDGET", 4)
+    header = f"# delta={REF_DELTA!r}\n\n# note\n{SCHEDULE_COLUMNS}\n"
+    rows = [f"{k * 1e-12!r},0.0,0.0,0.0" for k in range(3)]
+    path = tmp_path / "s.csv"
+    # three samples and a blank line are four lines: within the budget
+    path.write_text(header + "\n".join(rows[:1] + [""] + rows[1:]) + end)
+    assert read_schedule(path).n_samples == 3
+    path.write_text(header + "\n".join(rows[:1] + ["", "# a comment"] + rows[1:]) + end)
+    with pytest.raises(ScheduleFormatError, match=r"s\.csv: more than 4 lines"):
+        read_schedule(path)
+
+
+def test_a_form_feed_does_not_end_a_line_past_the_budget(tmp_path, monkeypatch):
+    # str.splitlines breaks at a form feed; the budget's count does not
+    monkeypatch.setattr("pulseforge.io.SAMPLE_BUDGET", 3)
+    path = tmp_path / "ff.csv"
+    rows = "\f".join(f"{k * 1e-12!r},0.0,0.0,0.0" for k in range(6))
+    path.write_text(f"# delta={REF_DELTA!r}\n{SCHEDULE_COLUMNS}\n{rows}\n")
+    with pytest.raises(ScheduleFormatError, match=r"ff\.csv:3: could not convert string"):
+        read_schedule(path)
 
 
 _BAD_ROWS = {

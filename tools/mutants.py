@@ -170,6 +170,42 @@ MUTANTS = (
         SUBSETS["io"],
     ),
     Mutant(
+        "csv-row-ends-every-ncol-plus-1-th-comma", IO,
+        'buf[ends[ncol - 1::ncol]] = ord("\\n")',
+        'buf[ends[ncol - 1::ncol + 1]] = ord("\\n")',
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "three-digit-exponents-from-1e101", IO,
+        "_PLUS_FROM, _THREE_DIGITS_FROM = 1e16, 1e100",
+        "_PLUS_FROM, _THREE_DIGITS_FROM = 1e16, 1e101",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "one-digit-exponents-from-1e-10", IO,
+        "_ONE_DIGIT_FROM, _BAND_FROM, _BAND_TO = 1e-9,",
+        "_ONE_DIGIT_FROM, _BAND_FROM, _BAND_TO = 1e-10,",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "fixes-placed-without-the-earlier-ones", IO,
+        "at += np.arange(len(at))",
+        "at += 0",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "json-row-end-one-byte-late", IO,
+        "ends[ncol - 1::ncol] -= 6",
+        "ends[ncol - 1::ncol] -= 5",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "sample-budget-unchecked", IO,
+        "if _body_lines(raw) > SAMPLE_BUDGET:",
+        "if False:",
+        SUBSETS["io"],
+    ),
+    Mutant(
         "verify-ignores-the-sample-gap", CLI,
         "ok = ok and schedule.sample_gap <= args.tol",
         "ok = ok",
