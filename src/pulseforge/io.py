@@ -17,9 +17,9 @@ cell by cell, with no regex or replace pass over the text.  A CSV row ends
 where a newline is written over every ncol-th comma; the JSON export takes
 orjson's indented layout, which is that of `json.dumps(payload, indent=2)`.
 
-The reader splits lines at "\n" alone, and refuses a body of more lines
-than `synth.SAMPLE_BUDGET` before it splits it.  It takes the header lines
-up to the column line, then
+The reader ends lines at "\n" alone.  It reads the header lines by their
+offsets up to the column line, counts the lines after it, and refuses more
+than `synth.SAMPLE_BUDGET` of them before it splits the body.  It then
 parses the whole body in one `np.loadtxt` call, which rounds each cell
 exactly as `float()` does.  A body that call refuses is read again a line
 at a time, counting the file's own lines: the first line with a cell that
@@ -45,7 +45,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,12 +146,18 @@ def _atomic_write(path: Path, chunks) -> None:
     rename (a parent that is a regular file, a full disk) is raised as a
     PulseforgeError naming ``path``; one raised while ``chunks`` produces
     its data is raised as it is.  A failed write leaves no temp file.
+
+    The temp file, ``<name><random>.tmp`` beside ``path``, is created with
+    mode 0o666 less the umask, the mode a plain ``open(path, "w")`` gives a
+    new file; the rename keeps it.
     """
     tmp = None
     try:
         with _naming_write_errors(path):
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            name = str(path.parent / f"{path.name}{os.urandom(8).hex()}.tmp")
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmp = name
             f = os.fdopen(fd, "wb")
         with f:
             for chunk in chunks:
@@ -336,18 +341,6 @@ def _sample_table(path: Path, body: list[str], first: int) -> np.ndarray:
     raise ScheduleFormatError(f"{path}: the samples do not parse as one table, though each line does")
 
 
-def _body_lines(raw: str) -> int:
-    """How many lines of ``raw`` follow its first line that is neither blank
-    nor a comment (the column line), counted by their ends, without a split."""
-    pos = 0
-    while (end := raw.find("\n", pos)) >= 0:
-        line = raw[pos:end].strip()
-        pos = end + 1
-        if line and not line.startswith("#"):
-            return raw.count("\n", pos) + (not raw.endswith("\n"))
-    return 0
-
-
 def read_schedule(path: str | Path) -> ControlSchedule:
     """Parse a schedule file; raises ScheduleFormatError on malformed input."""
     path = Path(path)
@@ -355,33 +348,38 @@ def read_schedule(path: str | Path) -> ControlSchedule:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScheduleFormatError(f"cannot read schedule file {path}: {exc}") from exc
-    # no writer makes more samples than the budget; a longer body is refused
-    # before its lines are split, which costs over 100 bytes a line.  Text
-    # mode has made every line end "\n", and only "\n" ends a line, so the
-    # count and the split agree (str.splitlines also breaks at form feeds)
-    if _body_lines(raw) > SAMPLE_BUDGET:
-        raise ScheduleFormatError(f"{path}: more than {SAMPLE_BUDGET} lines follow the column header")
-    lines = raw.split("\n")
     header: dict[str, str] = {}
     first = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    pos = 0
+    for lineno in itertools.count(1):
+        end = raw.find("\n", pos)
+        stop = len(raw) if end < 0 else end
+        line = raw[pos:stop].strip()
+        pos = stop + 1
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 header[key.strip()] = value.strip()
-            continue
-        if line.replace(" ", "") != SCHEDULE_COLUMNS:
-            raise ScheduleFormatError(
-                f"{path}:{lineno}: expected column header {SCHEDULE_COLUMNS!r}, got {line!r}"
-            )
-        first = lineno
-        break
-    # stripped, a blank line is empty, which loadtxt skips like a comment
-    body = [line.strip() for line in lines[first:]] if first is not None else []
+        elif line:
+            # no writer makes more samples than the budget; a longer body is
+            # refused before its lines are split, which costs over 100 bytes
+            # a line.  Text mode has made every line end "\n", and only "\n"
+            # ends a line (str.splitlines also breaks at form feeds): a line
+            # starts at pos if text is left, and after every "\n" but a last
+            if raw.count("\n", pos, -1) + (pos < len(raw)) > SAMPLE_BUDGET:
+                raise ScheduleFormatError(f"{path}: more than {SAMPLE_BUDGET} lines follow the column header")
+            if line.replace(" ", "") != SCHEDULE_COLUMNS:
+                raise ScheduleFormatError(
+                    f"{path}:{lineno}: expected column header {SCHEDULE_COLUMNS!r}, got {line!r}"
+                )
+            first = lineno
+            break
+        if end < 0:
+            break
+    # stripped, a blank line is empty, which loadtxt skips like a comment;
+    # past the end, the body is one empty line
+    body = [line.strip() for line in raw[pos:].split("\n")]
     if not any(line and not line.startswith("#") for line in body):
         raise ScheduleFormatError(f"{path}: no schedule samples found")
     table = _sample_table(path, body, first)

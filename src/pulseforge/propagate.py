@@ -48,11 +48,13 @@ arithmetic in a fixed order, so repeated runs on one platform are
 bit-identical.  The state norm is monitored at every step but never
 renormalized; renormalizing would mask integrator faults.
 
-Each integration allocates its buffers once (the generator stack, the
-step matrices, and the RK4 stages, whose memory the scan and the lab
-states reuse) and every block writes into them with ``out=``.  Without
-that, the allocator may hand a block's temporaries back to the system and
-fault them in again for the next block.
+Each integration allocates its buffers once, before its first block: the
+generator stack, the RK4 stages, the step matrices, and the scan's
+running products and states, each an array of its own.  Every block
+writes into them with ``out=``, and writes its lab states straight into
+their rows of the returned stack.  Without that, the allocator may hand a
+block's temporaries back to the system and fault them in again for the
+next block.
 
 :func:`verify` is the one place a schedule without a usable drive-angle
 ramp is refused (:func:`compare_analytic` refuses it before it builds its
@@ -237,43 +239,6 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: n
     return out
 
 
-class _Workspace:
-    """Buffers of one integration, rewritten by every block.
-
-    Sized for a full block of ``n_steps`` steps with ``k`` probes; a shorter
-    last block takes leading slices.  Allocated once, they are not freed and
-    faulted in again block after block; the scan reuses the RK4 stages'
-    memory, so the integration holds about one block's temporaries.  Every
-    matrix stack is (row, column, sector, ...), every state stack (row,
-    probe, sector, ...).
-    """
-
-    def __init__(self, n_steps: int, k: int):
-        m = min(n_steps, TRANSFER_BLOCK)
-        n_chunks = -(-m // SCAN_CHUNK)
-        width = n_chunks * SCAN_CHUNK
-        # -i H in both sectors at the block's nodes and midpoints
-        self.generators = np.empty((2, 2, 2, 2 * m + 1), dtype=complex)
-        # step matrices, padded with identities to whole chunks
-        self.steps = np.empty((2, 2, 2, width), dtype=complex)
-        # the RK4 stages are dead once the step matrices are built, so the
-        # scan's running products and states take the same memory
-        scratch = np.empty(max(3 * 8 * m, 8 * width + 2 * 4 * k * width), dtype=complex)
-        self.stages = scratch[:3 * 8 * m].reshape(3, 2, 2, 2, m)
-        # (..., position in the chunk, chunk), so that each position's
-        # products are written contiguously
-        self.runs = scratch[:8 * width].reshape(2, 2, 2, SCAN_CHUNK, n_chunks)
-        self.scan = scratch[8 * width:8 * width + 8 * k * width].reshape(2, 2, k, 2, SCAN_CHUNK, n_chunks)
-        # the lab states take the scan's scratch once its product is formed
-        self.lab = scratch[8 * width + 4 * k * width:8 * width + 8 * k * width].reshape(4, k, SCAN_CHUNK, n_chunks)
-        self.run_tmp = np.empty((2, 2, 2, n_chunks), dtype=complex)
-        # per chunk, sector first for matmul, its step (chunk, sector, row,
-        # column) and the sector coordinates entering it (chunk, sector,
-        # row, probe); entry[0] carries the state from block to block
-        self.chunk_steps = np.empty((n_chunks, 2, 2, 2), dtype=complex)
-        self.entry = np.empty((n_chunks, 2, 2, k), dtype=complex)
-
-
 def _transfer_matrices(a: np.ndarray, h: float, out: np.ndarray, stages: np.ndarray) -> np.ndarray:
     """RK4 step matrices of both sectors from -i H at the node and midpoint times they span.
 
@@ -306,42 +271,6 @@ def _to_lab(c: np.ndarray, out: np.ndarray) -> None:
     np.subtract(c[1, :, 1], c[1, :, 0], out=out[3])
 
 
-def _block_states(steps: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
-    """States after each of a block's steps by the two-level scan, into ``out``.
-
-    ``steps`` holds the block's m step matrix pairs padded with identities
-    to whole chunks, (2, 2, 2, c * SCAN_CHUNK); the sector coordinates
-    before the block are ``ws.entry[0]``, and those after it are left
-    there.  ``out`` takes the lab state stack after each of the m steps,
-    (m, 4, k), and the padding steps' states are dropped.
-    """
-    n_chunks = steps.shape[-1] // SCAN_CHUNK
-    steps = steps.reshape(2, 2, 2, n_chunks, SCAN_CHUNK)
-    runs = ws.runs[..., :n_chunks]
-    tmp = ws.run_tmp[..., :n_chunks]
-    runs[..., 0, :] = steps[..., 0]
-    for j in range(1, SCAN_CHUNK):
-        _product(steps[..., j], runs[..., j - 1, :], runs[..., j, :], tmp)
-    chunk_steps = ws.chunk_steps[:n_chunks]
-    np.copyto(chunk_steps, runs[..., -1, :].transpose(3, 2, 0, 1))
-    entry = ws.entry[:n_chunks]
-    for c in range(n_chunks - 1):
-        np.matmul(chunk_steps[c], entry[c], out=entry[c + 1])
-    scan, tmp = ws.scan[..., :n_chunks]
-    _product(runs, entry.transpose(2, 3, 1, 0)[:, :, :, None], scan, tmp)
-    m = out.shape[0]
-    last, j = divmod(m - 1, SCAN_CHUNK)
-    np.copyto(ws.entry[0], scan[..., j, last].transpose(2, 0, 1))
-    lab = ws.lab[..., :n_chunks]
-    _to_lab(scan, lab)
-    # the state after step SCAN_CHUNK * c + j is chunk_states[c, j]
-    chunk_states = lab.transpose(3, 2, 0, 1)
-    full, rest = divmod(m, SCAN_CHUNK)
-    np.copyto(out[:full * SCAN_CHUNK].reshape(full, SCAN_CHUNK, *out.shape[1:]), chunk_states[:full])
-    if rest:
-        np.copyto(out[full * SCAN_CHUNK:], chunk_states[full, :rest])
-
-
 def _rk4_states(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States of every column of ``psi`` (shape (4, k)) on the grid: (n + 1, 4, k).
 
@@ -363,26 +292,66 @@ def _rk4_states(schedule: ControlSchedule, psi: np.ndarray, grid: TimeGrid) -> n
 
     n = grid.n_steps
     h = grid.t_end / n
-    ws = _Workspace(n, psi.shape[1])
-    states = np.empty((n + 1,) + psi.shape, dtype=complex)
+    k = psi.shape[1]
+    # buffers for a full block; a shorter last block takes leading slices.
+    # Every matrix stack is (row, column, sector, ...), every state stack
+    # (row, probe, sector, ...)
+    size = min(n, TRANSFER_BLOCK)
+    chunks = -(-size // SCAN_CHUNK)
+    # -i H in both sectors at the block's nodes and midpoints
+    generators = np.empty((2, 2, 2, 2 * size + 1), dtype=complex)
+    stages = np.empty((3, 2, 2, 2, size), dtype=complex)
+    # step matrices padded with identities to whole chunks, and the running
+    # products within each chunk, (..., position in the chunk, chunk), so
+    # that each position's products are written contiguously
+    steps = np.empty((2, 2, 2, chunks * SCAN_CHUNK), dtype=complex)
+    runs = np.empty((2, 2, 2, SCAN_CHUNK, chunks), dtype=complex)
+    run_tmp = np.empty((2, 2, 2, chunks), dtype=complex)
+    # per chunk, sector first for matmul, its step (chunk, sector, row,
+    # column) and the sector coordinates entering it (chunk, sector, row,
+    # probe); entry[0] carries the state from block to block
+    chunk_steps = np.empty((chunks, 2, 2, 2), dtype=complex)
+    entry = np.empty((chunks, 2, 2, k), dtype=complex)
+    scan = np.empty((2, k, 2, SCAN_CHUNK, chunks), dtype=complex)
+    scan_tmp = np.empty_like(scan)
+    # a last block's padding steps write up to SCAN_CHUNK - 1 rows past the grid
+    states = np.empty((n + SCAN_CHUNK,) + psi.shape, dtype=complex)
     states[0] = psi
     # sector coordinates c = SECTOR_BASIS^-1 psi, (sector, row, probe)
-    np.multiply(0.5, (SECTOR_BASIS.T @ psi).reshape(2, 2, -1), out=ws.entry[0])
+    np.multiply(0.5, (SECTOR_BASIS.T @ psi).reshape(2, 2, -1), out=entry[0])
     # a step matrix too large for RK4 overflows to inf and nan; the caller's
     # drift check rejects every such state, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, TRANSFER_BLOCK):
             stop = min(start + TRANSFER_BLOCK, n)
             m = stop - start
-            width = -(-m // SCAN_CHUNK) * SCAN_CHUNK
+            c = -(-m // SCAN_CHUNK)
             nodes = slice(2 * start, 2 * stop + 1)
-            a = ws.generators[..., :2 * m + 1]
+            a = generators[..., :2 * m + 1]
             sector_hamiltonian(tau[nodes], alpha[nodes], schedule.params.delta, a.transpose(3, 2, 0, 1))
             np.multiply(-1j, a, out=a)
-            _transfer_matrices(a, h, ws.steps[..., :m], ws.stages[..., :m])
-            ws.steps[..., m:width] = _EYE2
-            _block_states(ws.steps[..., :width], states[start + 1:stop + 1], ws)
-    return states
+            _transfer_matrices(a, h, steps[..., :m], stages[..., :m])
+            steps[..., m:c * SCAN_CHUNK] = _EYE2
+            # the two-level scan: running products within every chunk, then
+            # each chunk's entry state from the one before, then every
+            # running product applied to its chunk's entry state
+            block = steps[..., :c * SCAN_CHUNK].reshape(2, 2, 2, c, SCAN_CHUNK)
+            run = runs[..., :c]
+            run[..., 0, :] = block[..., 0]
+            for j in range(1, SCAN_CHUNK):
+                _product(block[..., j], run[..., j - 1, :], run[..., j, :], run_tmp[..., :c])
+            np.copyto(chunk_steps[:c], run[..., -1, :].transpose(3, 2, 0, 1))
+            for i in range(c - 1):
+                np.matmul(chunk_steps[i], entry[i], out=entry[i + 1])
+            chunk_scan = scan[..., :c]
+            _product(run, entry[:c].transpose(2, 3, 1, 0)[:, :, :, None], chunk_scan, scan_tmp[..., :c])
+            last, j = divmod(m - 1, SCAN_CHUNK)
+            np.copyto(entry[0], chunk_scan[..., j, last].transpose(2, 0, 1))
+            # the state after step SCAN_CHUNK * i + j goes to row
+            # start + 1 + SCAN_CHUNK * i + j, written in lab form
+            rows = states[start + 1:start + 1 + c * SCAN_CHUNK].reshape(c, SCAN_CHUNK, 4, k)
+            _to_lab(chunk_scan, rows.transpose(2, 3, 1, 0))
+    return states[:n + 1]
 
 
 def _check_drift(drift: float) -> None:

@@ -405,6 +405,23 @@ def test_an_edited_header_keeps_the_exit_contract_and_never_verifies(case):
         assert "PASS" not in stdout.getvalue(), moved
 
 
+def test_samples_off_their_angles_fail_verify_though_the_probes_pass(tmp_path, capsys):
+    # theta scaled by 1 + 1e-4 moves the closed form by about 1.3e-5 and the
+    # samples off their drive-angle controls by about 1e-4: at --tol 5e-5
+    # the probes pass and the sample gap alone fails the schedule
+    lines = list(_schedule_lines("transport", "cosine", 2000))
+    row = next(r for r, line in enumerate(lines) if line.startswith("# theta="))
+    lines[row] = "# theta=" + repr(float(lines[row].split("=", 1)[1]) * (1.0 + 1e-4))
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--schedule", str(path), "--tol", "5e-5"]) == 4
+    out = capsys.readouterr().out
+    probes = float(out.split("probe states: ")[1].split()[0])
+    gap = float(out.split("drive-angle controls: ")[1].split()[0])
+    assert probes <= 5e-5 < gap
+    assert out.endswith("-> FAIL\n")
+
+
 # ------------------------------------------------- --tol and n_samples values
 
 BAD_TOLS = ["nan", "inf", "-inf", "-1e-7", "text"]

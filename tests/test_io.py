@@ -3,7 +3,9 @@ profile's disk round trip, and the schedule reader."""
 
 import json
 import math
+import os
 import re
+import stat
 import struct
 import tempfile
 import warnings
@@ -27,6 +29,7 @@ from pulseforge.io import (
     _formatted,
     _repr_dumps,
     read_schedule,
+    write_json,
     write_schedule,
     write_trajectory_csv,
     write_trajectory_json,
@@ -591,3 +594,21 @@ def test_a_bad_cell_is_named_by_its_column_header(tmp_path, ref_prep_schedule, c
         read_schedule(bad)
     # the file's line and the column's header, and no row or column of numpy's own
     assert str(exc.value) == f"{bad}:{k + 6}: could not convert string {cell!r} to float64 in column {column}"
+
+
+def test_writers_give_new_files_the_mode_a_plain_open_gives(tmp_path, ref_prep_schedule):
+    # 0o666 less the umask, as open(path, "w") makes a file, whatever the umask
+    traj = integrate(ref_prep_schedule, np.array([1, 0, 0, 0], dtype=complex), TimeGrid(ref_prep_schedule.T / 250, 16))
+    fidelity = FidelityTrace(times=traj.times, fidelity=np.ones(len(traj.times)))
+    tau, alpha = ref_prep_schedule.controls_at(traj.times)
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+        out = tmp_path / f"umask{umask:03o}"
+        saved = os.umask(umask)
+        try:
+            write_schedule(out / "s.csv", ref_prep_schedule)
+            write_trajectory_csv(out / "t.csv", traj, tau, alpha, fidelity)
+            write_json(out / "r.json", {"ok": True})
+        finally:
+            os.umask(saved)
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in out.iterdir()}
+        assert modes == {"s.csv": mode, "t.csv": mode, "r.json": mode}

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -550,3 +551,19 @@ def test_operator_gap_alone_checks_the_drift():
     sched = synthesize_gate(NotGateSpec(chi=0.3, mu=0.2), SystemParams(delta=math.pi * 1e9), AnsatzSpec(T=1e-7))
     with pytest.raises(IntegrationError, match="drifted by"):
         _operator_gap(sched, TimeGrid(sched.T, DEFAULT_N_STEPS))
+
+
+def test_rk4_working_set_is_bounded_by_the_block_not_the_grid(ref_prep_schedule):
+    # past the returned states, the traced peak grows with the grid only by
+    # its 2n + 1 evaluation points: tau (8 B), alpha (16 B) and their times
+    # (8 B).  A buffer of one state or step matrix per step adds 128 B a step
+    columns = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
+    extra = {}
+    for n_steps in (16000, 64000):
+        tracemalloc.start()
+        try:
+            states = _rk4_states(ref_prep_schedule, columns, TimeGrid(ref_prep_schedule.T, n_steps))
+            extra[n_steps] = tracemalloc.get_traced_memory()[1] - states.nbytes
+        finally:
+            tracemalloc.stop()
+    assert extra[64000] - extra[16000] <= 32 * 2 * (64000 - 16000)

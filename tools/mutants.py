@@ -146,6 +146,30 @@ MUTANTS = (
         SUBSETS["propagate"],
     ),
     Mutant(
+        "scan-carry-skips-the-last-chunk", PROPAGATE,
+        "for i in range(c - 1):",
+        "for i in range(c - 2):",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "block-carry-read-one-step-early", PROPAGATE,
+        "divmod(m - 1, SCAN_CHUNK)",
+        "divmod(m - 2, SCAN_CHUNK)",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "lab-row-4-swaps-its-operands", PROPAGATE,
+        "np.subtract(c[1, :, 1], c[1, :, 0], out=out[3])",
+        "np.subtract(c[1, :, 0], c[1, :, 1], out=out[3])",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
+        "padding-rows-returned", PROPAGATE,
+        "return states[:n + 1]",
+        "return states",
+        SUBSETS["propagate"],
+    ),
+    Mutant(
         "closed-form-swaps-ct-and-st-in-2-3", DQD,
         "u[2, 3] = u[3, 2] = -1j * e * ct * s",
         "u[2, 3] = u[3, 2] = -1j * e * st * s",
@@ -201,8 +225,20 @@ MUTANTS = (
     ),
     Mutant(
         "sample-budget-unchecked", IO,
-        "if _body_lines(raw) > SAMPLE_BUDGET:",
+        'if raw.count("\\n", pos, -1) + (pos < len(raw)) > SAMPLE_BUDGET:',
         "if False:",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "sample-budget-misses-the-first-body-line", IO,
+        "+ (pos < len(raw)) > SAMPLE_BUDGET:",
+        "> SAMPLE_BUDGET:",
+        SUBSETS["io"],
+    ),
+    Mutant(
+        "new-files-made-owner-only", IO,
+        "os.O_EXCL, 0o666)",
+        "os.O_EXCL, 0o600)",
         SUBSETS["io"],
     ),
     Mutant(
