@@ -519,6 +519,22 @@ def test_chain_stage_mismatch_is_rejected(tmp_path):
         compose_chain(load_plan(plan))
 
 
+def test_a_declared_qubit_within_the_chain_cross_check_is_not_used(tmp_path):
+    # the hand-over is the one source of a later stage's qubit: a declared
+    # chi that the 1e-9 cross-check accepts changes nothing it synthesizes
+    stages = [{"gate": "not", "chi": "pi/3", "mu": "pi/4"},
+              {"gate": "transport", "A": 0.6, "B": 0.8, "lambda": 1.9}]
+    doc = {"system": {"delta_rad_per_s": REF_DELTA}, "stages": stages}
+    inherited = compose_chain(load_plan(write_plan(tmp_path, doc))).outcomes[1]
+    stages[1] = {**stages[1], "chi": inherited.chi_in + 5e-10}
+    declared = compose_chain(load_plan(write_plan(tmp_path, doc, name="declared.json"))).outcomes[1]
+    assert declared.chi_in == inherited.chi_in
+    assert declared.schedule.meta.theta == inherited.schedule.meta.theta
+    assert declared.schedule.T == inherited.schedule.T
+    for column in ("times", "tau", "alpha"):
+        np.testing.assert_array_equal(getattr(declared.schedule, column), getattr(inherited.schedule, column))
+
+
 def test_chain_infeasible_stage_reports_index(tmp_path, capsys):
     plan = write_plan(
         tmp_path,

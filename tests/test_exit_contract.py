@@ -422,6 +422,27 @@ def test_samples_off_their_angles_fail_verify_though_the_probes_pass(tmp_path, c
     assert out.endswith("-> FAIL\n")
 
 
+def test_samples_off_by_less_than_the_match_threshold_fail_a_tighter_tol(tmp_path, capsys):
+    # a 5e-10 edit is below the 1e-9 at which RK4 plays the samples, so the
+    # probes pass at --tol 1e-10; the sample gap alone fails the schedule
+    lines = list(_schedule_lines("prepare", "cosine", 2000))
+    row = lines.index("t,tau,re_alpha,im_alpha") + 1 + 1000
+    parts = lines[row].split(",")
+    parts[1] = repr(float(parts[1]) * (1.0 + 5e-10))
+    lines[row] = ",".join(parts)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--schedule", str(path), "--tol", "1e-10"]) == 4
+    out = capsys.readouterr().out
+    probes = float(out.split("probe states: ")[1].split()[0])
+    gap = float(out.split("drive-angle controls: ")[1].split()[0])
+    assert probes <= 1e-10 < gap < 1e-9
+    assert out.endswith("-> FAIL\n")
+    # at the default --tol the same gap is within tolerance and not printed
+    assert main(["verify", "--schedule", str(path)]) == 0
+    assert "drive-angle controls" not in capsys.readouterr().out
+
+
 # ------------------------------------------------- --tol and n_samples values
 
 BAD_TOLS = ["nan", "inf", "-inf", "-1e-7", "text"]
@@ -600,3 +621,65 @@ def test_two_steps_is_the_fewest_that_run(tol_inputs, capsys):
     # two steps over a whole gate drift far off norm 1: the integration ran
     assert main(tol_inputs["verify"] + ["--steps", "2"]) == 4
     assert capsys.readouterr().err.startswith("verification failure: state norm drifted by")
+
+
+_SYSTEM = {"delta_rad_per_s": REF_DELTA}
+_NOT = {"gate": "not", "chi": 0.3, "mu": 0.2}
+
+
+@pytest.mark.parametrize("argv, doc, code, message", [
+    (["prepare"], {"system": _SYSTEM, "stages": [{"gate": "prepare", "target": {"b1": 0.6, "b2": 0.8, "b3": 0.0}}]},
+     3, "infeasible: target keeps weight on |1>; preparation drives gamma to an odd multiple of pi/2 "
+        "where the |1> amplitude vanishes"),
+    (["gate"], {"system": _SYSTEM, "stages": [{"gate": "not"}]}, 2, "error: not stage needs chi and mu"),
+    (["chain"], {"system": _SYSTEM, "stages": [{"gate": "not"}]},
+     2, "error: stage 1 (not): first chain stage must be a prepare or declare chi and mu"),
+    (["gate", "--stage", "3"], {"system": _SYSTEM, "stages": [_NOT]},
+     2, "error: stage index 3 out of range: plan has 1 stage(s)"),
+    (["prepare"], {"system": _SYSTEM, "stages": [{"gate": "prepare", "target": {"b2": 1.0}}]},
+     2, "error: stage 0: prepare target must declare b2 and b3"),
+    (["gate"], {"system": _SYSTEM, "stages": [{**_NOT, "gate": "transport", "A": 1.0, "lambda": 0.0}]},
+     2, "error: stage 0: transport needs A, B and lambda"),
+    (["chain"], [_NOT], 2, "error: plan {plan}: top level must be an object"),
+    (["chain"], {"system": {"b_field_mT": 100.0}, "stages": [_NOT]},
+     2, "error: plan {plan}: b_field_mT and g_factor must be given together"),
+    (["gate"], {"system": _SYSTEM, "stages": [{**_NOT, "ansatz": {"T": -1e-9}}]},
+     2, "error: invalid ansatz: requested duration must be positive and finite, got -1e-09"),
+    (["gate"], {"system": _SYSTEM, "stages": [{**_NOT, "ansatz": {"t_max": 0}}]},
+     2, "error: invalid ansatz: t_max must be positive"),
+    (["gate"], {"system": _SYSTEM, "stages": [{**_NOT, "gate": "transport", "A": -0.6, "B": 0.8, "lambda": 0.0}]},
+     2, "error: A and B are magnitudes; fold signs into lam"),
+], ids=["weight-on-b1", "gate-without-qubit", "chain-first-without-qubit", "stage-out-of-range",
+        "target-without-b3", "transport-without-B", "top-level-list", "b-field-without-g", "negative-T",
+        "zero-t-max", "negative-A"])
+def test_each_plan_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, doc, code, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert main([argv[0], "--plan", str(plan), "--out", str(tmp_path), *argv[1:]]) == code
+    assert capsys.readouterr().err == message.format(plan=plan) + "\n"
+
+
+def test_a_transport_with_no_amplitude_contrast_takes_theta_0(tmp_path, capsys):
+    # at chi = pi/4, mu = pi/2 every theta gives A = B = 1/sqrt(2), so
+    # solve_theta's degenerate branch returns the one candidate 0
+    stage = {"gate": "transport", "chi": "pi/4", "mu": "pi/2",
+             "A": math.sqrt(0.5), "B": math.sqrt(0.5), "lambda": 0.0}
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"system": _SYSTEM, "stages": [stage]}))
+    assert main(["gate", "--plan", str(plan), "--out", str(tmp_path)]) == 0
+    assert "theta = 0.0 rad (branch 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (["simulate", "--psi0", "1,0,0"], None, "state needs 4 comma-separated amplitudes, got 3"),
+    (["verify"], lambda lines: lines[:lines.index("t,tau,re_alpha,im_alpha") + 1],
+     "{path}: no schedule samples found"),
+    (["verify"], lambda lines: [line.replace("# n_samples=2000", "# n_samples=1999") for line in lines],
+     "{path}: header n_samples=1999 disagrees with 2000 rows"),
+], ids=["psi0-of-3", "column-line-without-rows", "n-samples-one-short"])
+def test_each_schedule_input_refusal_exits_2_with_its_message(tmp_path, capsys, argv, edit, message):
+    lines = list(_schedule_lines("prepare", "cosine", 2000))
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(edit(lines) if edit else lines) + "\n")
+    assert main([argv[0], "--schedule", str(path), "--out", str(tmp_path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"

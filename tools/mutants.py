@@ -45,6 +45,10 @@ SUBSETS = {
     "dqd": ("tests/test_dqd.py",),
     "exit-contract": ("tests/test_exit_contract.py",),
     "io": ("tests/test_io.py",),
+    # the formatter's deterministic edge tests alone: in the whole file a
+    # hypothesis property meets a formatter mutant first and spends minutes
+    # shrinking its failing table
+    "io-edge": ("tests/test_io.py", "-k", "edge"),
     "propagate": ("tests/test_propagate.py",),
     "steps": ("tests/test_steps.py",),
     "synthesis-limits": ("tests/test_cli.py", "-k", "phase_resolution or 2_to_the_53"),
@@ -83,6 +87,13 @@ MUTANTS = (
         "stage-prefix-drops-attributes", CLI,
         'exc.args = (f"stage {index} ({stage.gate}): {exc}",)\n            raise',
         'raise type(exc)(f"stage {index} ({stage.gate}): {exc}") from exc',
+        SUBSETS["chain"],
+    ),
+    Mutant(
+        "declared-qubit-wins-over-the-hand-over", CLI,
+        "spec = materialize(stage, chi_in, mu_in)",
+        "spec = materialize(stage, stage.chi if stage.chi is not None else chi_in,\n"
+        "                               stage.mu if stage.mu is not None else mu_in)",
         SUBSETS["chain"],
     ),
     Mutant(
@@ -197,31 +208,31 @@ MUTANTS = (
         "csv-row-ends-every-ncol-plus-1-th-comma", IO,
         'buf[ends[ncol - 1::ncol]] = ord("\\n")',
         'buf[ends[ncol - 1::ncol + 1]] = ord("\\n")',
-        SUBSETS["io"],
+        SUBSETS["io-edge"],
     ),
     Mutant(
         "three-digit-exponents-from-1e101", IO,
         "_PLUS_FROM, _THREE_DIGITS_FROM = 1e16, 1e100",
         "_PLUS_FROM, _THREE_DIGITS_FROM = 1e16, 1e101",
-        SUBSETS["io"],
+        SUBSETS["io-edge"],
     ),
     Mutant(
         "one-digit-exponents-from-1e-10", IO,
         "_ONE_DIGIT_FROM, _BAND_FROM, _BAND_TO = 1e-9,",
         "_ONE_DIGIT_FROM, _BAND_FROM, _BAND_TO = 1e-10,",
-        SUBSETS["io"],
+        SUBSETS["io-edge"],
     ),
     Mutant(
         "fixes-placed-without-the-earlier-ones", IO,
         "at += np.arange(len(at))",
         "at += 0",
-        SUBSETS["io"],
+        SUBSETS["io-edge"],
     ),
     Mutant(
         "json-row-end-one-byte-late", IO,
         "ends[ncol - 1::ncol] -= 6",
         "ends[ncol - 1::ncol] -= 5",
-        SUBSETS["io"],
+        SUBSETS["io-edge"],
     ),
     Mutant(
         "sample-budget-unchecked", IO,
@@ -245,6 +256,12 @@ MUTANTS = (
         "verify-ignores-the-sample-gap", CLI,
         "ok = ok and schedule.sample_gap <= args.tol",
         "ok = ok",
+        SUBSETS["exit-contract"],
+    ),
+    Mutant(
+        "verify-judges-the-samples-only-past-the-match-threshold", CLI,
+        "if not schedule._samples_match_angles or schedule.sample_gap > args.tol:",
+        "if not schedule._samples_match_angles:",
         SUBSETS["exit-contract"],
     ),
     Mutant(
